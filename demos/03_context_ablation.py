@@ -11,14 +11,14 @@ the tie.  Takes roughly half a minute on a laptop CPU.
 import time
 
 from kgned.context import ContextConfig
-from kgned.data import EncodingPipeline, prepare, to_pairs
+from kgned.data import EncodingPipeline, to_pairs, vocab_lines
 from kgned.metrics import flip_analysis, inkb_accuracy
 from kgned.model import Classifier, ModelConfig, TrainConfig, predict, train
-from kgned.synthetic import CorpusSpec, build_corpus, vocab_lines
+from kgned.synthetic import CorpusSpec, build_corpus
 from kgned.tokenizer import build_vocab
 
 corpus = build_corpus(CorpusSpec(n_labels=12, seed=7))
-vocab = build_vocab(vocab_lines(corpus))
+vocab = build_vocab(vocab_lines(corpus.train + corpus.eval, corpus.store))
 gold = {ex.id: ex.gold for ex in corpus.eval}
 print(f"{len(corpus.train)} training mentions, {len(corpus.eval)} eval mentions, "
       f"{len(corpus.labels)} ambiguous labels, vocab of {vocab.size} tokens")
@@ -28,13 +28,13 @@ for name, max_triples in (("no context", 0), ("1-hop context", 15)):
     started = time.time()
     ctx = ContextConfig(hops="1", max_triples=max_triples, max_seq_len=96)
     store = corpus.store if max_triples else None
-    batch = [prepare(pair, store, vocab, ctx) for pair in to_pairs(corpus.train)]
+    pipeline = EncodingPipeline(vocab=vocab, ctx=ctx, store=store)
+    batch = pipeline.encode_pairs(to_pairs(corpus.train))
     model = Classifier(ModelConfig(vocab_size=vocab.size, d_model=32, n_layers=2,
                                    n_heads=2, ffn_dim=64, n_segments=17,
                                    max_seq_len=96, dropout=0.0), seed=11)
     result = train(model, batch, TrainConfig(learning_rate=3e-3, batch_size=16,
                                              epochs=200, seed=11))
-    pipeline = EncodingPipeline(vocab=vocab, ctx=ctx, store=store)
     predictions = {ex.id: predict(model, ex.to_mention(), list(ex.candidates),
                                   pipeline).chosen
                    for ex in corpus.eval}

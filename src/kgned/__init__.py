@@ -15,7 +15,7 @@ from .candidates import (CandidateSet, LabelIndex, MODE_CONTAINS, MODE_EXACT,
 from .context import (ContextBundle, ContextConfig, VerbalizedTriple, build_context,
                       verbalize)
 from .data import (DatasetError, EncodingPipeline, MentionExample, PairExample,
-                   load_jsonl, prepare, save_jsonl, to_pairs, wikidata_alignment)
+                   load_jsonl, save_jsonl, to_pairs, vocab_lines)
 from .kg import (HOP_ONE, HOP_ONE_TWO, LabelRecord, ParseError, Triple, TripleStore,
                  load_store, save_store)
 from .metrics import (ConfusionCounts, FlipReport, PRF, f1_score, flip_analysis,
@@ -23,7 +23,7 @@ from .metrics import (ConfusionCounts, FlipReport, PRF, f1_score, flip_analysis,
                       write_report)
 from .model import (CheckpointError, Classifier, ModelConfig, Prediction, TrainConfig,
                     TrainingAborted, bce_loss, grad_check, load_checkpoint, predict,
-                    save_checkpoint, train)
+                    save_checkpoint, score, train)
 from .sparql import (EndpointError, FetchError, FetchResult, ProtocolError,
                      fetch_many, fetch_remote)
 from .tokenizer import (CLS_ID, PAD_ID, SEP_ID, UNK_ID, Vocab, build_vocab,
@@ -37,7 +37,7 @@ __all__ = [
     "load_index", "lookup", "normalize_label", "save_index",
     "ContextBundle", "ContextConfig", "VerbalizedTriple", "build_context", "verbalize",
     "DatasetError", "EncodingPipeline", "MentionExample", "PairExample",
-    "load_jsonl", "prepare", "save_jsonl", "to_pairs", "wikidata_alignment",
+    "load_jsonl", "save_jsonl", "to_pairs", "vocab_lines",
     "HOP_ONE", "HOP_ONE_TWO", "LabelRecord", "ParseError", "Triple", "TripleStore",
     "load_store", "save_store",
     "ConfusionCounts", "FlipReport", "PRF", "f1_score", "flip_analysis",
@@ -45,7 +45,7 @@ __all__ = [
     "write_report",
     "CheckpointError", "Classifier", "ModelConfig", "Prediction", "TrainConfig",
     "TrainingAborted", "bce_loss", "grad_check", "load_checkpoint", "predict",
-    "save_checkpoint", "train",
+    "save_checkpoint", "score", "train",
     "EndpointError", "FetchError", "FetchResult", "ProtocolError",
     "fetch_many", "fetch_remote",
     "CLS_ID", "PAD_ID", "SEP_ID", "UNK_ID", "Vocab", "build_vocab",

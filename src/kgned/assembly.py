@@ -67,51 +67,71 @@ class AssembledInput:
                 and np.array_equal(self.mask, other.mask))
 
 
-def assemble(vocab: Vocab, mention: Mention, bundle: ContextBundle,
-             cfg: ContextConfig) -> AssembledInput:
-    """Build the padded input for one (mention, candidate-context) pair.
+def encode_triples(vocab: Vocab, texts) -> tuple[np.ndarray, np.ndarray]:
+    """Token ids of each text followed by one SEP, flattened into one int32
+    array, and the running end offset of each triple in it: the prefix
+    costs the budget cut compares against."""
+    ids: list[int] = []
+    ends: list[int] = []
+    for text in texts:
+        ids.extend(vocab.encode_tokens(tokenize(text)))
+        ids.append(SEP_ID)
+        ends.append(len(ids))
+    return np.asarray(ids, dtype=np.int32), np.asarray(ends, dtype=np.int32)
+
+
+def lay_out(vocab: Vocab, mention: Mention, ids: np.ndarray, ends: np.ndarray,
+            cfg: ContextConfig) -> AssembledInput:
+    """Build the padded input for one mention and the first ``len(ends)``
+    triples of ``ids`` (as :func:`encode_triples` returns them).
 
     If the sentence and surface alone exceed ``cfg.max_seq_len`` the
     sentence is tail-truncated (and, in the pathological case of an
     oversized surface, the surface too); that situation implies a zero
-    context budget, so the bundle must be empty.  A kept context that does
-    not fit the remaining room is a caller error and raises ValueError.
+    context budget, so no triple may be kept.  Kept triples that do not
+    fit the remaining room are a caller error and raise ValueError.
     """
     limit = cfg.max_seq_len
-    sent_tokens = list(mention.sentence.tokens) if cfg.include_sentence else []
+    sent_tokens = list(mention.sentence.tokens)
     surf_tokens = tokenize(mention.surface)
 
     # CLS plus two SEPs are always present.
     fixed = 3 + len(surf_tokens)
     if fixed + len(sent_tokens) > limit:
         sent_tokens = sent_tokens[: max(0, limit - fixed)]
-        if 3 + len(surf_tokens) > limit:
+        if fixed > limit:
             surf_tokens = surf_tokens[: limit - 3]
 
-    ids = [CLS_ID] + vocab.encode_tokens(sent_tokens) + [SEP_ID]
-    segments = [0] * len(ids)
-    ids.extend(vocab.encode_tokens(surf_tokens) + [SEP_ID])
-    segments.extend([1] * (len(surf_tokens) + 1))
-    for index, vt in enumerate(bundle.kept):
-        triple_tokens = tokenize(vt.text)
-        ids.extend(vocab.encode_tokens(triple_tokens) + [SEP_ID])
-        segments.extend([2 + index] * (len(triple_tokens) + 1))
-    if len(ids) > limit:
+    head = ([CLS_ID] + vocab.encode_tokens(sent_tokens) + [SEP_ID]
+            + vocab.encode_tokens(surf_tokens) + [SEP_ID])
+    n_context = int(ends[-1]) if len(ends) else 0
+    length = len(head) + n_context
+    if length > limit:
         raise ValueError(
-            f"kept context overflows max_seq_len ({len(ids)} > {limit}); "
+            f"kept context overflows max_seq_len ({length} > {limit}); "
             "build the bundle against the budget this layout leaves")
 
-    length = len(ids)
-    pad = limit - length
-    token_ids = np.asarray(ids + [PAD_ID] * pad, dtype=np.int64)
-    segment_ids = np.asarray(segments + [0] * pad, dtype=np.int64)
-    mask = np.asarray([1] * length + [0] * pad, dtype=np.int64)
+    token_ids = np.full(limit, PAD_ID, dtype=np.int64)
+    token_ids[:len(head)] = head
+    token_ids[len(head):length] = ids[:n_context]
+    segment_ids = np.zeros(limit, dtype=np.int64)
+    segment_ids[len(sent_tokens) + 2:len(head)] = 1
+    segment_ids[len(head):length] = np.repeat(np.arange(2, 2 + len(ends)),
+                                              np.diff(ends, prepend=0))
+    mask = np.zeros(limit, dtype=np.int64)
+    mask[:length] = 1
     return AssembledInput(token_ids=token_ids, segment_ids=segment_ids,
                           mask=mask, length=length)
 
 
+def assemble(vocab: Vocab, mention: Mention, bundle: ContextBundle,
+             cfg: ContextConfig) -> AssembledInput:
+    """Build the padded input for one (mention, candidate-context) pair."""
+    ids, ends = encode_triples(vocab, (vt.text for vt in bundle.kept))
+    return lay_out(vocab, mention, ids, ends, cfg)
+
+
 def context_budget(mention: Mention, cfg: ContextConfig) -> int:
     """Tokens left for context after CLS, sentence, surface, and two SEPs."""
-    sent = len(mention.sentence.tokens) if cfg.include_sentence else 0
     surf = len(tokenize(mention.surface))
-    return max(0, cfg.max_seq_len - (3 + sent + surf))
+    return max(0, cfg.max_seq_len - (3 + len(mention.sentence.tokens) + surf))

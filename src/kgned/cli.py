@@ -21,17 +21,16 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .assembly import Mention
 from .candidates import MODE_CONTAINS, MODE_EXACT, build_index, lookup
 from .context import ContextConfig
-from .data import (DatasetError, EncodingPipeline, load_jsonl, prepare, to_pairs)
+from .data import DatasetError, EncodingPipeline, load_jsonl, to_pairs, vocab_lines
 from .kg import HOP_ONE, HOP_ONE_TWO, ParseError, TripleStore, load_store
 from .metrics import (ReportError, flip_analysis, flip_report_dict, format_report,
                       inkb_accuracy, make_report, pair_confusion, prf, write_report)
 from .model import (CheckpointError, Classifier, ModelConfig, TrainConfig,
-                    TrainingAborted, load_checkpoint, predict, save_checkpoint, train)
+                    TrainingAborted, load_checkpoint, predict, save_checkpoint, score,
+                    train)
 from .sparql import EndpointError, FetchError, ProtocolError, fetch_many
 from .tokenizer import Vocab, build_vocab, load_vocab, save_vocab
 
@@ -165,18 +164,6 @@ def _ensure_vocab(path: str | None, lines: list[str]) -> Vocab:
     return vocab
 
 
-def _vocab_lines(examples, store: TripleStore | None) -> list[str]:
-    from .context import verbalize
-    lines = []
-    for example in examples:
-        lines.append(example.sentence)
-        lines.append(example.surface)
-    if store is not None:
-        for triple in store.all_triples():
-            lines.append(verbalize(store, triple).text)
-    return lines
-
-
 # -- subcommands ---------------------------------------------------------
 
 
@@ -226,11 +213,11 @@ def cmd_train(args, config) -> int:
                 raise DatasetError(args.model_cfg, 0, f"unknown model key {key!r}")
             config[key] = _COERCE[key](overrides[key])
 
-    vocab = _ensure_vocab(args.vocab, _vocab_lines(examples, store))
+    vocab = _ensure_vocab(args.vocab, vocab_lines(examples, store))
     pairs = to_pairs(examples)
     if not pairs:
         raise DatasetError(args.data, 0, "dataset produced no training pairs")
-    batch = [prepare(pair, store, vocab, ctx) for pair in pairs]
+    batch = EncodingPipeline(vocab=vocab, ctx=ctx, store=store).encode_pairs(pairs)
 
     model_cfg = ModelConfig(vocab_size=vocab.size, d_model=config["d_model"],
                             n_layers=config["n_layers"], n_heads=config["n_heads"],
@@ -259,18 +246,6 @@ def cmd_train(args, config) -> int:
     return EXIT_OK
 
 
-def _score_pairs(model, batch, chunk=64):
-    scored = []
-    for start in range(0, len(batch), chunk):
-        part = batch[start:start + chunk]
-        tok = np.stack([inp.token_ids for inp, _ in part])
-        seg = np.stack([inp.segment_ids for inp, _ in part])
-        mask = np.stack([inp.mask for inp, _ in part])
-        probs = model.forward_batch(tok, seg, mask)
-        scored.extend((float(p), label) for p, (_, label) in zip(probs, part))
-    return scored
-
-
 def cmd_eval(args, config) -> int:
     bundle = load_checkpoint(args.checkpoint)
     model = bundle.model
@@ -285,6 +260,7 @@ def cmd_eval(args, config) -> int:
             raise UsageError("--kg is required when the checkpoint uses context")
         store = _load_kg(args.kg)
     examples = load_jsonl(args.data)
+    pipeline = EncodingPipeline(vocab=bundle.vocab, ctx=ctx, store=store)
 
     echo = _config_echo(config, _EVAL_KEYS)
     echo["hops"] = ctx.hops
@@ -293,9 +269,8 @@ def cmd_eval(args, config) -> int:
 
     if config["protocol"] == "pairs":
         pairs = to_pairs(examples)
-        batch = [prepare(pair, store, bundle.vocab, ctx) for pair in pairs]
-        scored = _score_pairs(model, batch)
-        counts = pair_confusion(scored)
+        probs = score(model, [inp for inp, _ in pipeline.encode_pairs(pairs)])
+        counts = pair_confusion([(float(p), pair.label) for p, pair in zip(probs, pairs)])
         measures = prf(counts)
         metrics = {
             "precision": measures.precision,
@@ -305,7 +280,6 @@ def cmd_eval(args, config) -> int:
             "n_pairs": counts.total,
         }
     else:
-        pipeline = EncodingPipeline(vocab=bundle.vocab, ctx=ctx, store=store)
         predictions: dict[str, str | None] = {}
         best_scores: dict[str, float] = {}
         for example in examples:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .kg import HOP_ONE, HOP_ONE_TWO, Triple, TripleStore, check_hops
 from .tokenizer import tokenize
 
@@ -21,7 +23,6 @@ class ContextConfig:
     hops: str = HOP_ONE
     max_triples: int = 15
     max_seq_len: int = 512
-    include_sentence: bool = True
 
     def __post_init__(self):
         check_hops(self.hops)
@@ -73,34 +74,34 @@ def verbalize(store: TripleStore, triple: Triple) -> VerbalizedTriple:
     return VerbalizedTriple(text=text, source=triple)
 
 
+def context_triples(store: TripleStore, entity: str,
+                    cfg: ContextConfig) -> tuple[VerbalizedTriple, ...]:
+    """The first ``cfg.max_triples`` verbalized neighbors of ``entity`` at
+    the configured hop levels, in rank order."""
+    triples = store.neighbors(entity, cfg.hops)[: cfg.max_triples]
+    return tuple(verbalize(store, t) for t in triples)
+
+
+def fit_count(ends, budget: int) -> int:
+    """Length of the longest prefix of triples whose cost fits ``budget``;
+    ``ends`` holds the running cost (tokens plus one SEP per triple)."""
+    return int(np.searchsorted(ends, budget, side="right"))
+
+
 def build_context(store: TripleStore, entity: str, cfg: ContextConfig,
                   budget: int) -> ContextBundle:
     """Context for ``entity`` under ``cfg`` within ``budget`` tokens.
 
-    The full list is the first ``cfg.max_triples`` verbalized neighbors at
-    the configured hop levels; the kept list is the longest prefix whose
-    tokenized triples, plus one separator each, fit the budget.  Triples
-    are never split: either a triple fits whole or it is dropped along
-    with everything after it.
+    The full list is :func:`context_triples`; the kept list is the longest
+    prefix whose tokenized triples, plus one separator each, fit the
+    budget.  Triples are never split: either a triple fits whole or it is
+    dropped along with everything after it.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if cfg.max_triples == 0:
         # No-context configuration: the store is deliberately never touched.
         return ContextBundle.empty()
-    triples = store.neighbors(entity, cfg.hops)[: cfg.max_triples]
-    full = tuple(verbalize(store, t) for t in triples)
-    kept = []
-    remaining = budget
-    for vt in full:
-        cost = vt.token_count() + 1  # one separator token per triple
-        if cost > remaining:
-            break
-        kept.append(vt)
-        remaining -= cost
-    return ContextBundle(full=full, kept=tuple(kept))
-
-
-def dump_context(bundle: ContextBundle) -> str:
-    """Debug dump: one verbalized triple per line (kept triples only)."""
-    return "".join(vt.text + "\n" for vt in bundle.kept)
+    full = context_triples(store, entity, cfg)
+    ends = np.cumsum([vt.token_count() + 1 for vt in full])
+    return ContextBundle(full=full, kept=full[:fit_count(ends, budget)])

@@ -18,8 +18,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .assembly import AssembledInput, Mention, assemble, context_budget
-from .context import ContextBundle, ContextConfig, build_context
+import numpy as np
+
+# Unused here: perfbench/tracing.py wraps assemble and build_context in this module.
+from .assembly import (AssembledInput, Mention, assemble, context_budget, encode_triples,
+                       lay_out)
+from .context import ContextConfig, build_context, context_triples, fit_count, verbalize
 from .kg import TripleStore
 from .tokenizer import Vocab
 
@@ -139,56 +143,53 @@ def to_pairs(examples: list[MentionExample]) -> list[PairExample]:
     return pairs
 
 
-@dataclass
+def vocab_lines(examples: list[MentionExample], store: TripleStore | None) -> list[str]:
+    """Every text the pipeline may tokenize: sentences, surfaces, and the
+    verbalization of every triple in ``store``."""
+    lines = [text for example in examples for text in (example.sentence, example.surface)]
+    if store is not None:
+        lines.extend(verbalize(store, triple).text for triple in store.all_triples())
+    return lines
+
+
+@dataclass(eq=False)
 class EncodingPipeline:
-    """Everything needed to turn a (mention, candidate) into model input."""
+    """The one route from a (mention, candidate) pair to model input.
+
+    A candidate's context triples are verbalized, tokenized and mapped to
+    vocab ids once, on first use, and cached as int32 ids plus the running
+    cost of each triple; every pair then keeps the longest prefix that
+    fits its budget.  The store (and the vocab and config) must not change
+    after the pipeline is built, or the cache goes stale.
+    """
 
     vocab: Vocab
     ctx: ContextConfig
     store: TripleStore | None = None
+    _encoded: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.ctx.max_triples > 0 and self.store is None:
+            raise ValueError("a triple store is required when max_triples > 0")
+
+    def _context(self, entity: str) -> tuple[np.ndarray, np.ndarray]:
+        if self.ctx.max_triples == 0:
+            # No-context configuration: the store is deliberately never touched.
+            return encode_triples(self.vocab, ())
+        encoded = self._encoded.get(entity)
+        if encoded is None:
+            triples = context_triples(self.store, entity, self.ctx)
+            encoded = encode_triples(self.vocab, (vt.text for vt in triples))
+            self._encoded[entity] = encoded
+        return encoded
 
     def encode_pair(self, mention: Mention, candidate: str) -> AssembledInput:
-        budget = context_budget(mention, self.ctx)
-        if self.ctx.max_triples == 0:
-            bundle = ContextBundle.empty()
-        else:
-            if self.store is None:
-                raise ValueError("a triple store is required when max_triples > 0")
-            bundle = build_context(self.store, candidate, self.ctx, budget)
-        return assemble(self.vocab, mention, bundle, self.ctx)
+        ids, ends = self._context(candidate)
+        kept = fit_count(ends, context_budget(mention, self.ctx))
+        return lay_out(self.vocab, mention, ids, ends[:kept], self.ctx)
 
-
-def prepare(pair: PairExample, store: TripleStore | None, vocab: Vocab,
-            ctx: ContextConfig) -> tuple[AssembledInput, int]:
-    """Labeled model input for one pair: reserve room for the sentence and
-    surface, hand the remaining token budget to the context builder, then
-    lay everything out."""
-    pipeline = EncodingPipeline(vocab=vocab, ctx=ctx, store=store)
-    mention = pair.example.to_mention()
-    return pipeline.encode_pair(mention, pair.candidate), pair.label
-
-
-def wikidata_alignment(map_file: str) -> dict[str, str | None]:
-    """Wikipedia-title to entity-id map from a two-column TSV.
-
-    Titles with an empty id column are kept with value None; such entities
-    simply get no KG context downstream.  Conflicting duplicate titles are
-    an error.
-    """
-    mapping: dict[str, str | None] = {}
-    with open(map_file, encoding="utf-8", newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise DatasetError(str(map_file), line_no,
-                                   f"expected 2 tab-separated columns, got {len(cols)}")
-            title, entity = cols
-            value = entity or None
-            if title in mapping and mapping[title] != value:
-                raise DatasetError(str(map_file), line_no,
-                                   f"conflicting ids for title {title!r}")
-            mapping[title] = value
-    return mapping
+    def encode_pairs(self, pairs: list[PairExample]) -> list[tuple[AssembledInput, int]]:
+        """(model input, label) for each labeled pair, in order."""
+        return [(self.encode_pair(pair.example.to_mention(), pair.candidate), pair.label)
+                for pair in pairs]

@@ -30,10 +30,6 @@ class ConfusionCounts:
     fn: int = 0
     tn: int = 0
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp,
-                               self.fn + other.fn, self.tn + other.tn)
-
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn

@@ -100,12 +100,6 @@ def bce_loss(probability: float, label: int) -> float:
     return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
 
-def bce_mean(probabilities, labels) -> float:
-    """Mean of per-example losses; the quantity recorded per batch."""
-    pairs = list(zip(probabilities, labels))
-    return float(sum(bce_loss(p, y) for p, y in pairs) / len(pairs))
-
-
 def _losses_from_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     # log(1 + e^z) - y*z, computed without overflow.
     return np.logaddexp(0.0, z) - y * z
@@ -347,12 +341,11 @@ class Classifier:
         return np.clip(sigmoid(logits), _PROB_EPS, 1.0 - _PROB_EPS)
 
 
-def _stack_batch(batch: list[tuple[AssembledInput, int]]):
-    tok = np.stack([inp.token_ids for inp, _ in batch])
-    seg = np.stack([inp.segment_ids for inp, _ in batch])
-    mask = np.stack([inp.mask for inp, _ in batch])
-    y = np.asarray([label for _, label in batch], dtype=np.float64)
-    return tok, seg, mask, y
+def _stack(inputs: list[AssembledInput]):
+    tok = np.stack([inp.token_ids for inp in inputs])
+    seg = np.stack([inp.segment_ids for inp in inputs])
+    mask = np.stack([inp.mask for inp in inputs])
+    return tok, seg, mask
 
 
 def _trim(tok, seg, mask):
@@ -383,7 +376,8 @@ def train(model: Classifier, data: list[tuple[AssembledInput, int]],
     for _, label in data:
         if label not in (0, 1):
             raise ValueError(f"labels must be 0 or 1, got {label!r}")
-    tok_all, seg_all, mask_all, y_all = _stack_batch(data)
+    tok_all, seg_all, mask_all = _stack([inp for inp, _ in data])
+    y_all = np.asarray([label for _, label in data], dtype=np.float64)
     n = len(data)
     rng = np.random.default_rng(cfg.seed)
 
@@ -483,6 +477,18 @@ def grad_check(config: ModelConfig | None = None, n_probes: int = 100,
     return worst
 
 
+SCORE_CHUNK = 64
+
+
+def score(model: Classifier, inputs: list[AssembledInput]) -> np.ndarray:
+    """Match probability of each input, in order: the inputs are stacked
+    ``SCORE_CHUNK`` at a time and each chunk is trimmed to its longest
+    input before the forward pass."""
+    probs = [model.forward_batch(*_trim(*_stack(inputs[start:start + SCORE_CHUNK])))
+             for start in range(0, len(inputs), SCORE_CHUNK)]
+    return np.concatenate(probs) if probs else np.zeros(0)
+
+
 @dataclass
 class Prediction:
     """Argmax choice plus the score of every candidate, in candidate order."""
@@ -504,10 +510,7 @@ def predict(model: Classifier, mention: Mention, candidates, pipeline) -> Predic
         entity_ids = list(candidates)
     if not entity_ids:
         return Prediction(chosen=None, scores={})
-    batch = [(pipeline.encode_pair(mention, e), 0) for e in entity_ids]
-    tok, seg, mask, _ = _stack_batch(batch)
-    tok, seg, mask = _trim(tok, seg, mask)
-    probs = model.forward_batch(tok, seg, mask)
+    probs = score(model, [pipeline.encode_pair(mention, e) for e in entity_ids])
     scores = {e: float(p) for e, p in zip(entity_ids, probs)}
     chosen = sorted(scores, key=lambda e: (-scores[e], e))[0]
     return Prediction(chosen=chosen, scores=scores)
@@ -555,7 +558,7 @@ def load_checkpoint(path: str, expected_vocab_size: int | None = None) -> Checkp
         raise CheckpointError(
             f"{path}: unsupported checkpoint format {fmt!r}, "
             f"expected {CHECKPOINT_FORMAT}/{CHECKPOINT_VERSION}")
-    config = ModelConfig(**json.loads(str(files["model_config"])))
+    config = _load_config(path, files, "model_config", ModelConfig)
     if expected_vocab_size is not None and config.vocab_size != expected_vocab_size:
         raise CheckpointError(
             f"{path}: checkpoint vocab size {config.vocab_size} does not match "
@@ -576,5 +579,20 @@ def load_checkpoint(path: str, expected_vocab_size: int | None = None) -> Checkp
             raise CheckpointError(f"{path}: embedded vocab does not match model config")
     ctx = None
     if "ctx_config" in files:
-        ctx = ContextConfig(**json.loads(str(files["ctx_config"])))
+        ctx = _load_config(path, files, "ctx_config", ContextConfig)
     return CheckpointBundle(model=model, vocab=vocab, ctx=ctx)
+
+
+def _load_config(path: str, files: dict, key: str, cls):
+    """``cls`` built from the JSON object stored under ``key``; any failure
+    is a CheckpointError naming the file."""
+    if key not in files:
+        raise CheckpointError(f"{path}: missing {key}")
+    try:
+        values = json.loads(str(files[key]))
+        # Older context configs carry include_sentence, which was always true.
+        if cls is ContextConfig and values.pop("include_sentence", True) is not True:
+            raise ValueError("include_sentence=false is not supported")
+        return cls(**values)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad {key} ({exc})") from exc

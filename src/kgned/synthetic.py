@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .context import verbalize
 from .data import MentionExample, save_jsonl
 from .kg import TripleStore, save_store
 
@@ -165,19 +164,6 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> Corpus:
             else:
                 eval_split.append(example)
     return Corpus(store=store, entities=entities, train=train, eval=eval_split)
-
-
-def vocab_lines(corpus: Corpus) -> list[str]:
-    """Every text the pipeline may tokenize: sentences, surfaces, and all
-    triple verbalizations at both hop depths."""
-    lines = []
-    for example in corpus.train + corpus.eval:
-        lines.append(example.sentence)
-        lines.append(example.surface)
-    for record in corpus.entities:
-        for triple in corpus.store.neighbors(record.entity, "1&2"):
-            lines.append(verbalize(corpus.store, triple).text)
-    return lines
 
 
 def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:

@@ -16,11 +16,11 @@ from kgned.assembly import Mention, context_budget
 from kgned.candidates import MODE_CONTAINS, MODE_EXACT, build_index, lookup, normalize_label
 from kgned.cli import main as cli_main
 from kgned.context import ContextConfig, build_context
-from kgned.data import EncodingPipeline, prepare, to_pairs
+from kgned.data import EncodingPipeline, to_pairs, vocab_lines
 from kgned.kg import HOP_ONE, HOP_ONE_TWO, TripleStore
 from kgned.metrics import f1_score, flip_analysis, inkb_accuracy
 from kgned.model import Classifier, ModelConfig, TrainConfig, grad_check, predict, train
-from kgned.synthetic import CorpusSpec, build_corpus, vocab_lines, write_corpus
+from kgned.synthetic import CorpusSpec, build_corpus, write_corpus
 from kgned.tokenizer import SEP_ID, build_vocab
 
 
@@ -40,7 +40,7 @@ def _verdict(capsys, number, ok, detail):
 def ablation():
     started = time.perf_counter()
     corpus = build_corpus(CorpusSpec(n_labels=50, seed=7))
-    vocab = build_vocab(vocab_lines(corpus))
+    vocab = build_vocab(vocab_lines(corpus.train + corpus.eval, corpus.store))
     gold = {example.id: example.gold for example in corpus.eval}
     variants = {
         "none": (0, HOP_ONE),
@@ -52,11 +52,11 @@ def ablation():
         ctx = ContextConfig(hops=hops, max_triples=max_triples,
                             max_seq_len=MAX_SEQ_LEN)
         store = corpus.store if max_triples else None
-        batch = [prepare(pair, store, vocab, ctx) for pair in to_pairs(corpus.train)]
+        pipeline = EncodingPipeline(vocab=vocab, ctx=ctx, store=store)
+        batch = pipeline.encode_pairs(to_pairs(corpus.train))
         model = Classifier(ModelConfig(vocab_size=vocab.size, **MODEL_KW),
                            seed=MODEL_SEED)
         train(model, batch, TRAIN_CFG)
-        pipeline = EncodingPipeline(vocab=vocab, ctx=ctx, store=store)
         predictions = {
             example.id: predict(model, example.to_mention(),
                                 list(example.candidates), pipeline).chosen

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kgned.assembly import Mention, Sentence, assemble, context_budget
 from kgned.context import ContextBundle, ContextConfig, build_context
+from kgned.data import EncodingPipeline
 from kgned.kg import store_from_rows
 from kgned.tokenizer import CLS_ID, PAD_ID, SEP_ID, build_vocab, tokenize
 
@@ -135,7 +136,7 @@ def test_structural_invariants_fuzzed(words, tails, max_triples, data):
     cfg = ContextConfig(max_triples=max_triples, max_seq_len=48)
     bundle = build_context(store, "H", cfg, context_budget(mention, cfg)) \
         if max_triples else ContextBundle.empty()
-    vocab = build_vocab([text])
+    vocab = build_vocab([text] + tails)
     out = assemble(vocab, mention, bundle, cfg)
 
     assert len(out.token_ids) == len(out.segment_ids) == len(out.mask) == 48
@@ -143,3 +144,9 @@ def test_structural_invariants_fuzzed(words, tails, max_triples, data):
     assert int((out.token_ids == SEP_ID).sum()) == 2 + len(bundle.kept)
     used = sorted(set(out.segment_ids[:out.length].tolist()))
     assert used == list(range(2 + len(bundle.kept)))
+
+    # The pipeline lays out the same arrays, and its cached second encoding
+    # of the pair does too.
+    pipeline = EncodingPipeline(vocab=vocab, ctx=cfg, store=store)
+    assert pipeline.encode_pair(mention, "H").same_as(out)
+    assert pipeline.encode_pair(mention, "H").same_as(out)

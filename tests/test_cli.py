@@ -7,7 +7,12 @@ the expected precision/recall computable by hand from the data file.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import literal_binding, triple_binding, uri_binding
@@ -25,9 +30,10 @@ from kgned.cli import (
     resolve_config,
 )
 from kgned.context import ContextConfig
+from kgned.data import vocab_lines
 from kgned.metrics import read_report
 from kgned.model import Classifier, ModelConfig, TrainingAborted, save_checkpoint
-from kgned.synthetic import CorpusSpec, build_corpus, vocab_lines, write_corpus
+from kgned.synthetic import CorpusSpec, build_corpus, write_corpus
 from kgned.tokenizer import build_vocab
 
 
@@ -38,7 +44,7 @@ def workspace(tmp_path_factory):
     corpus = build_corpus(CorpusSpec(n_labels=4, seed=5))
     paths = write_corpus(corpus, root / "corpus")
 
-    vocab = build_vocab(vocab_lines(corpus))
+    vocab = build_vocab(vocab_lines(corpus.train + corpus.eval, corpus.store))
     ctx = ContextConfig(hops="1", max_triples=15, max_seq_len=64)
     cfg = ModelConfig(vocab_size=vocab.size, d_model=16, n_layers=1, n_heads=2,
                       ffn_dim=32, n_segments=ctx.n_segments, max_seq_len=64,
@@ -329,6 +335,29 @@ def test_eval_checkpoint_without_vocab_is_data_error(workspace, tmp_path, capsys
                "--kg", str(workspace["kg"])])
     assert rc == EXIT_DATA
     assert "vocab" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model_config", [None, '{"vocab_size": 40, "colour": "red"}'])
+def test_eval_bad_checkpoint_config_is_data_error(workspace, tmp_path, model_config):
+    with np.load(str(workspace["zero"]), allow_pickle=False) as data:
+        arrays = dict(data)
+    if model_config is None:
+        del arrays["model_config"]
+    else:
+        arrays["model_config"] = np.array(model_config)
+    bad = tmp_path / "bad-config.npz"
+    np.savez(str(bad), **arrays)
+    # A real process, so that an escaped exception would show as a traceback.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgned.cli", "eval", "--data", str(workspace["eval"]),
+         "--checkpoint", str(bad), "--kg", str(workspace["kg"])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_DATA
+    assert str(bad) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- diff ----------------------------------------------------------------

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgned.context import (ContextBundle, ContextConfig, build_context, dump_context,
-                           verbalize)
+from kgned.context import ContextBundle, ContextConfig, build_context, verbalize
 from kgned.kg import store_from_rows
 
 
@@ -112,12 +111,6 @@ def test_config_validation():
         ContextConfig(max_seq_len=8)
     assert ContextConfig().n_segments == 17
     assert ContextConfig(max_triples=0).n_segments == 2
-
-
-def test_dump_context_one_triple_per_line(highway_store):
-    bundle = build_context(highway_store, "Q1967298", ContextConfig(), 400)
-    lines = dump_context(bundle).splitlines()
-    assert lines == [vt.text for vt in bundle.kept]
 
 
 _words = st.lists(st.from_regex(r"[a-z]{1,8}", fullmatch=True), min_size=1, max_size=6)

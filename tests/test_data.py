@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from kgned.assembly import assemble
 from kgned.context import ContextBundle, ContextConfig
-from kgned.data import (DatasetError, MentionExample, load_jsonl, prepare,
-                        save_jsonl, to_pairs, wikidata_alignment)
+from kgned.data import (DatasetError, EncodingPipeline, MentionExample, load_jsonl,
+                        save_jsonl, to_pairs)
 from kgned.tokenizer import build_vocab
 
 
@@ -139,8 +139,10 @@ def test_prepare_no_context_matches_store_free_assembly(highway_store, highway_v
     example = _example()
     pair = to_pairs([example])[0]
     cfg = ContextConfig(max_triples=0, max_seq_len=48)
-    with_store, label = prepare(pair, highway_store, highway_vocab, cfg)
-    without_store, _ = prepare(pair, None, highway_vocab, cfg)
+    with_pipeline = EncodingPipeline(highway_vocab, cfg, highway_store)
+    [(with_store, label)] = with_pipeline.encode_pairs([pair])
+    without_store = EncodingPipeline(highway_vocab, cfg).encode_pair(
+        example.to_mention(), pair.candidate)
     direct = assemble(highway_vocab, example.to_mention(), ContextBundle.empty(), cfg)
     assert label == 1
     assert with_store.same_as(without_store)
@@ -149,9 +151,9 @@ def test_prepare_no_context_matches_store_free_assembly(highway_store, highway_v
 
 def test_prepare_injects_description_tokens(highway_store, highway_vocab):
     example = _example()
-    pair = to_pairs([example])[0]  # candidate Q1967298
     cfg = ContextConfig(max_triples=15, max_seq_len=96)
-    inp, _ = prepare(pair, highway_store, highway_vocab, cfg)
+    pipeline = EncodingPipeline(highway_vocab, cfg, highway_store)
+    inp = pipeline.encode_pair(example.to_mention(), "Q1967298")
     ids = inp.token_ids.tolist()
     for token in ("highway", "system", "in", "australia"):
         assert highway_vocab.id_of(token) in ids
@@ -163,38 +165,13 @@ def test_prepare_oversized_sentence_keeps_zero_triples(highway_store, highway_vo
     example = MentionExample(id="m", sentence=text, surface="National Highway",
                              start=start, end=start + 16, gold="Q1967298",
                              candidates=("Q1967298",))
-    pair = to_pairs([example])[0]
     cfg = ContextConfig(max_triples=15, max_seq_len=32)
-    inp, _ = prepare(pair, highway_store, highway_vocab, cfg)
+    pipeline = EncodingPipeline(highway_vocab, cfg, highway_store)
+    inp = pipeline.encode_pair(example.to_mention(), "Q1967298")
     # budget is 0, so only the sentence/surface separators appear
     assert int((inp.token_ids == 3).sum()) == 2
 
 
 def test_prepare_requires_store_when_context_on(highway_vocab):
-    example = _example(negatives=())
-    pair = to_pairs([example])[0]
     with pytest.raises(ValueError, match="store"):
-        prepare(pair, None, highway_vocab, ContextConfig(max_triples=5))
-
-
-def test_wikidata_alignment(tmp_path):
-    path = tmp_path / "map.tsv"
-    path.write_text("Sydney\tQ3130\nCanberra\tQ3114\nGhost Town\t\n"
-                    "Melbourne\tQ3141\nPerth\tQ3183\nAdelaide\tQ5112\n",
-                    encoding="utf-8")
-    mapping = wikidata_alignment(str(path))
-    resolvable = [t for t, e in mapping.items() if e is not None]
-    assert len(resolvable) == 5
-    assert mapping["Ghost Town"] is None
-    assert mapping.get("Nowhere") is None
-
-
-def test_wikidata_alignment_empty_and_conflicts(tmp_path):
-    empty = tmp_path / "empty.tsv"
-    empty.write_text("")
-    assert wikidata_alignment(str(empty)) == {}
-
-    conflict = tmp_path / "conflict.tsv"
-    conflict.write_text("Sydney\tQ3130\nSydney\tQ999\n", encoding="utf-8")
-    with pytest.raises(DatasetError, match="Sydney"):
-        wikidata_alignment(str(conflict))
+        EncodingPipeline(highway_vocab, ContextConfig(max_triples=5))

@@ -1,5 +1,6 @@
 """Classifier, training loop, gradient check, prediction, checkpoints."""
 
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from kgned.model import (
     TrainConfig,
     TrainingAborted,
     bce_loss,
-    bce_mean,
     grad_check,
     load_checkpoint,
     predict,
@@ -85,13 +85,6 @@ def test_bce_loss_limits():
     assert math.isfinite(bce_loss(1.0, 0))
 
 
-def test_bce_mean_three_example_fixture():
-    probs = [0.9, 0.2, 0.5]
-    labels = [1, 0, 1]
-    expected = (-math.log(0.9) - math.log(0.8) - math.log(0.5)) / 3.0
-    assert bce_mean(probs, labels) == pytest.approx(expected, abs=1e-12)
-
-
 # -- forward pass --------------------------------------------------------
 
 
@@ -157,7 +150,8 @@ def test_fresh_model_near_chance_loss_on_random_labels():
     mask = np.ones((24, 16), dtype=np.int64)
     probs = model.forward_batch(tok, seg, mask)
     labels = rng.integers(0, 2, size=24)
-    assert bce_mean(probs, labels) == pytest.approx(math.log(2.0), abs=0.05)
+    mean_loss = sum(bce_loss(p, y) for p, y in zip(probs, labels)) / len(labels)
+    assert mean_loss == pytest.approx(math.log(2.0), abs=0.05)
 
 
 def test_num_params_hand_count():
@@ -456,3 +450,59 @@ def test_load_checkpoint_missing_parameter(tmp_path):
     np.savez(str(rewritten), **arrays)
     with pytest.raises(CheckpointError, match="head_w"):
         load_checkpoint(str(rewritten))
+
+
+def _rewrite_checkpoint(src, dst, **entries):
+    """Copy checkpoint ``src`` to ``dst`` with some entries replaced
+    (string values) or removed (None)."""
+    with np.load(str(src), allow_pickle=False) as data:
+        arrays = dict(data)
+    for key, value in entries.items():
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = np.array(value)
+    np.savez(str(dst), **arrays)
+
+
+def test_load_checkpoint_accepts_include_sentence_true(tmp_path):
+    # Checkpoints written before include_sentence was removed store it as true.
+    model, vocab, ctx = _checkpoint_fixture()
+    path = tmp_path / "model.npz"
+    save_checkpoint(str(path), model, vocab=vocab, ctx=ctx)
+    old = tmp_path / "old.npz"
+    _rewrite_checkpoint(path, old, ctx_config=json.dumps(
+        {"hops": "1&2", "max_triples": 1, "max_seq_len": 16, "include_sentence": True}))
+    bundle = load_checkpoint(str(old))
+    assert bundle.ctx == ctx
+    assert bundle.model.config == model.config
+
+
+def test_load_checkpoint_rejects_include_sentence_false(tmp_path):
+    model, vocab, ctx = _checkpoint_fixture()
+    path = tmp_path / "model.npz"
+    save_checkpoint(str(path), model, vocab=vocab, ctx=ctx)
+    bad = tmp_path / "no-sentence.npz"
+    _rewrite_checkpoint(path, bad, ctx_config=json.dumps(
+        {"hops": "1", "max_triples": 1, "max_seq_len": 16, "include_sentence": False}))
+    with pytest.raises(CheckpointError, match="include_sentence"):
+        load_checkpoint(str(bad))
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"model_config": None}, "missing model_config"),
+    ({"model_config": '{"vocab_size": 7, "colour": "red"}'}, "colour"),
+    ({"model_config": '{"d_model": 8}'}, "vocab_size"),
+    ({"model_config": "[1, 2]"}, "model_config"),
+    ({"ctx_config": '{"hops": "1", "width": 3}'}, "width"),
+    ({"ctx_config": '{"hops": "3"}'}, "hops"),
+])
+def test_load_checkpoint_bad_config_names_the_file(tmp_path, entries, message):
+    model, vocab, ctx = _checkpoint_fixture()
+    path = tmp_path / "model.npz"
+    save_checkpoint(str(path), model, vocab=vocab, ctx=ctx)
+    bad = tmp_path / "bad.npz"
+    _rewrite_checkpoint(path, bad, **entries)
+    with pytest.raises(CheckpointError, match=message) as err:
+        load_checkpoint(str(bad))
+    assert str(bad) in str(err.value)

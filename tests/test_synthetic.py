@@ -3,13 +3,13 @@
 import pytest
 
 from kgned.context import verbalize
+from kgned.data import vocab_lines
 from kgned.synthetic import (
     SEED_ENTITIES,
     SEED_LABEL,
     TEMPLATES,
     CorpusSpec,
     build_corpus,
-    vocab_lines,
     write_corpus,
 )
 
@@ -100,7 +100,7 @@ def test_sentences_follow_the_templates(corpus):
 
 
 def test_vocab_lines_cover_every_verbalization(corpus):
-    lines = vocab_lines(corpus)
+    lines = vocab_lines(corpus.train + corpus.eval, corpus.store)
     assert corpus.train[0].sentence in lines
     sample = corpus.entities[0]
     sample_triple = corpus.store.neighbors(sample.entity, "1&2")[0]
