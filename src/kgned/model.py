@@ -11,6 +11,14 @@ block, both with residual connections and post-layer-norm.  The
 classification head is a linear map over the first (CLS) position followed
 by a sigmoid, modeling the probability that the candidate entity matches
 the mention.
+
+Since the head reads only the CLS row, the last layer takes keys and
+values from every position but computes queries, attention, the output
+projection, both layer norms and the feed-forward block for position 0
+alone, and its backward pass starts from that one row.  The other rows
+would never reach the head, so the logits equal the all-positions
+encoder's up to rounding: the matrix products see other shapes and may
+round differently in the last bits.
 """
 
 from __future__ import annotations
@@ -145,6 +153,14 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
+def _scatter_rows(ids, dx, n_rows):
+    """Sum the rows of ``dx`` [..., d] into an [n_rows, d] table by ``ids``;
+    the same sums, added in the same order, as ``np.add.at``."""
+    d = dx.shape[-1]
+    flat = (ids[..., None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=dx.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
+
 class Classifier:
     """Encoder plus sigmoid head; parameters live in a flat name->array dict."""
 
@@ -214,7 +230,9 @@ class Classifier:
         bias = (1.0 - maskf)[:, None, None, :] * _MASK_BIAS
 
         x = p["tok_emb"][tok] + p["pos_emb"][:L][None, :, :] + p["seg_emb"][seg]
-        cache = {"tok": tok, "seg": seg, "L": L, "drop": drop, "layers": []}
+        if not cfg.n_layers:
+            x = x[:, :1]  # the head reads only the CLS row
+        cache = {"tok": tok, "seg": seg, "drop": drop, "layers": []}
         if drop > 0:
             m = _dropout_mask(rng, x.shape, drop)
             x = x * m
@@ -223,8 +241,11 @@ class Classifier:
         n_heads = cfg.n_heads
         scale = 1.0 / np.sqrt(cfg.d_model / n_heads)
         for i in range(cfg.n_layers):
-            lc = {"x_in": x}
-            q = _split_heads(x @ p[f"l{i}.wq"] + p[f"l{i}.bq"], n_heads)
+            # The last layer computes only the CLS row (see the module doc).
+            rows = slice(0, 1) if i == cfg.n_layers - 1 else slice(None)
+            xq = x[:, rows]
+            lc = {"x_in": x, "rows": rows}
+            q = _split_heads(xq @ p[f"l{i}.wq"] + p[f"l{i}.bq"], n_heads)
             k = _split_heads(x @ p[f"l{i}.wk"] + p[f"l{i}.bk"], n_heads)
             v = _split_heads(x @ p[f"l{i}.wv"] + p[f"l{i}.bv"], n_heads)
             scores = (q @ k.transpose(0, 1, 3, 2)) * scale + bias
@@ -238,7 +259,7 @@ class Classifier:
             if drop > 0:
                 lc["proj_drop"] = _dropout_mask(rng, proj.shape, drop)
                 proj = proj * lc["proj_drop"]
-            x1, lc["ln1"] = _layer_norm_forward(x + proj, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
+            x1, lc["ln1"] = _layer_norm_forward(xq + proj, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
 
             hidden = np.maximum(x1 @ p[f"l{i}.w1"] + p[f"l{i}.b1"], 0.0)
             ffn = hidden @ p[f"l{i}.w2"] + p[f"l{i}.b2"]
@@ -263,7 +284,6 @@ class Classifier:
         cfg = self.config
         p = self.params
         grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-        L = cache["L"]
         drop = cache["drop"]
         n_heads = cfg.n_heads
         scale = 1.0 / np.sqrt(cfg.d_model / n_heads)
@@ -271,8 +291,8 @@ class Classifier:
         cls = cache["cls"]
         grads["head_w"] += dlogits @ cls
         grads["head_b"][0] += dlogits.sum()
-        dx = np.zeros((dlogits.shape[0], L, cfg.d_model))
-        dx[:, 0, :] = dlogits[:, None] * p["head_w"][None, :]
+        # Gradient w.r.t. the rows the last layer computed: the CLS row.
+        dx = (dlogits[:, None] * p["head_w"][None, :])[:, None, :]
 
         for i in reversed(range(cfg.n_layers)):
             lc = cache["layers"][i]
@@ -312,20 +332,26 @@ class Classifier:
             dq = (dscores @ lc["k"]) * scale
             dk = (dscores.transpose(0, 1, 3, 2) @ lc["q"]) * scale
 
-            dx = dr1
-            flat_x = x_in.reshape(-1, cfg.d_model)
-            for name, dhead in (("wq", dq), ("wk", dk), ("wv", dv)):
+            # The query side and the residual reach only the layer's rows;
+            # keys and values reach every position.
+            rows = lc["rows"]
+            dx = np.zeros_like(x_in)
+            dx[:, rows] = dr1
+            for name, dhead, src_rows in (("wq", dq, rows), ("wk", dk, slice(None)),
+                                          ("wv", dv, slice(None))):
                 dmerged = _merge_heads(dhead)
                 flat_d = dmerged.reshape(-1, cfg.d_model)
-                grads[f"l{i}.{name}"] += flat_x.T @ flat_d
+                grads[f"l{i}.{name}"] += x_in[:, src_rows].reshape(-1, cfg.d_model).T @ flat_d
                 grads[f"l{i}.b{name[1]}"] += flat_d.sum(axis=0)
-                dx = dx + dmerged @ p[f"l{i}.{name}"].T
+                dx[:, src_rows] += dmerged @ p[f"l{i}.{name}"].T
 
+        # dx covers every position, or the CLS row alone when there is no layer.
+        n = dx.shape[1]
         if drop > 0:
             dx = dx * cache["emb_drop"]
-        np.add.at(grads["tok_emb"], cache["tok"], dx)
-        grads["pos_emb"][:L] += dx.sum(axis=0)
-        np.add.at(grads["seg_emb"], cache["seg"], dx)
+        grads["tok_emb"] += _scatter_rows(cache["tok"][:, :n], dx, cfg.vocab_size)
+        grads["pos_emb"][:n] += dx.sum(axis=0)
+        grads["seg_emb"] += _scatter_rows(cache["seg"][:, :n], dx, cfg.n_segments)
         return grads
 
     # -- public inference ------------------------------------------------
@@ -368,8 +394,8 @@ def train(model: Classifier, data: list[tuple[AssembledInput, int]],
 
     ``data`` is a list of (assembled input, 0/1 label).  The seed fixes
     shuffling and dropout, so identical calls produce identical loss
-    histories.  A non-finite batch loss aborts with a diagnostic naming
-    the epoch and batch.
+    histories.  A non-finite batch loss or gradient norm aborts, before
+    that batch's update, with a diagnostic naming the epoch and batch.
     """
     if not data:
         raise ValueError("training data must be non-empty")
@@ -404,12 +430,16 @@ def train(model: Classifier, data: list[tuple[AssembledInput, int]],
             dlogits = (sigmoid(logits) - y) / len(idx)
             grads = model._backward(cache, dlogits)
 
-            if cfg.clip_norm > 0:
-                norm = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
-                if norm > cfg.clip_norm:
-                    factor = cfg.clip_norm / norm
-                    for g in grads.values():
-                        g *= factor
+            # Checked before the update: an inf norm would make the clip
+            # factor 0 and write inf * 0 = NaN into the parameters.
+            norm = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+            if not np.isfinite(norm):
+                raise TrainingAborted(
+                    f"non-finite gradient at epoch {epoch} batch {batch_index}")
+            if cfg.clip_norm > 0 and norm > cfg.clip_norm:
+                factor = cfg.clip_norm / norm
+                for g in grads.values():
+                    g *= factor
             step += 1
             bc1 = 1.0 - beta1 ** step
             bc2 = 1.0 - beta2 ** step
@@ -481,12 +511,23 @@ SCORE_CHUNK = 64
 
 
 def score(model: Classifier, inputs: list[AssembledInput]) -> np.ndarray:
-    """Match probability of each input, in order: the inputs are stacked
-    ``SCORE_CHUNK`` at a time and each chunk is trimmed to its longest
-    input before the forward pass."""
-    probs = [model.forward_batch(*_trim(*_stack(inputs[start:start + SCORE_CHUNK])))
-             for start in range(0, len(inputs), SCORE_CHUNK)]
-    return np.concatenate(probs) if probs else np.zeros(0)
+    """Match probability of each input, in order: the distinct inputs are
+    stacked ``SCORE_CHUNK`` at a time and each chunk is trimmed to its
+    longest input before the forward pass.
+
+    Each distinct input is run once and its probability given to every
+    copy, so identical inputs score exactly equal; BLAS can round identical
+    rows differently depending on where they sit in a batch."""
+    slot_of, distinct, slots = {}, [], []
+    for inp in inputs:
+        key = (inp.token_ids.tobytes(), inp.segment_ids.tobytes(), inp.mask.tobytes())
+        if key not in slot_of:
+            slot_of[key] = len(distinct)
+            distinct.append(inp)
+        slots.append(slot_of[key])
+    probs = [model.forward_batch(*_trim(*_stack(distinct[start:start + SCORE_CHUNK])))
+             for start in range(0, len(distinct), SCORE_CHUNK)]
+    return np.concatenate(probs)[slots] if probs else np.zeros(0)
 
 
 @dataclass

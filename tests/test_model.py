@@ -17,8 +17,10 @@ from kgned.model import (
     bce_loss,
     grad_check,
     load_checkpoint,
+    _scatter_rows,
     predict,
     save_checkpoint,
+    score,
     sigmoid,
     train,
 )
@@ -123,6 +125,52 @@ def test_trailing_padding_columns_are_an_exact_no_op():
         np.pad(tok, ((0, 0), (0, 3))), np.pad(seg, ((0, 0), (0, 3))),
         np.pad(mask, ((0, 0), (0, 3))))
     assert short[0] == padded[0]
+
+
+def _reference_logits(model, tok, seg, mask):
+    """The encoder written out plainly: every layer computes every position."""
+    cfg, p = model.config, model.params
+    heads, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+    x = p["tok_emb"][tok] + p["pos_emb"][:tok.shape[1]] + p["seg_emb"][seg]
+    bias = np.where(mask[:, None, None, :] > 0, 0.0, -1e9)
+
+    def norm(z, gain, shift):
+        centered = z - z.mean(axis=-1, keepdims=True)
+        return gain * centered / np.sqrt(z.var(axis=-1, keepdims=True) + 1e-5) + shift
+
+    def split(z):
+        return z.reshape(*z.shape[:2], heads, dh).transpose(0, 2, 1, 3)
+
+    for i in range(cfg.n_layers):
+        lp = {k.split(".", 1)[1]: v for k, v in p.items() if k.startswith(f"l{i}.")}
+        q, k, v = (split(x @ lp["w" + n] + lp["b" + n]) for n in "qkv")
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh) + bias
+        attn = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn /= attn.sum(axis=-1, keepdims=True)
+        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(x.shape)
+        x = norm(x + ctx @ lp["wo"] + lp["bo"], lp["ln1_g"], lp["ln1_b"])
+        ffn = np.maximum(x @ lp["w1"] + lp["b1"], 0.0) @ lp["w2"] + lp["b2"]
+        x = norm(x + ffn, lp["ln2_g"], lp["ln2_b"])
+    return x[:, 0] @ p["head_w"] + p["head_b"][0]
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+def test_forward_matches_all_positions_reference(n_layers):
+    # The last layer computes only the CLS row; the logits must equal the
+    # all-positions encoder up to rounding.
+    cfg = ModelConfig(vocab_size=40, d_model=16, n_layers=n_layers, n_heads=4,
+                      ffn_dim=24, n_segments=5, max_seq_len=12, dropout=0.0)
+    model = Classifier(cfg, seed=n_layers)
+    rng = np.random.default_rng(10 + n_layers)
+    for arr in model.params.values():  # larger weights make attention peaked
+        arr[...] = rng.normal(0.0, 0.3, size=arr.shape)
+    for _ in range(3):
+        tok = rng.integers(0, cfg.vocab_size, size=(6, 12))
+        seg = rng.integers(0, cfg.n_segments, size=(6, 12))
+        lengths = rng.integers(1, 13, size=6)
+        mask = (np.arange(12)[None, :] < lengths[:, None]).astype(np.int64)
+        logits, _ = model._forward(tok, seg, mask)
+        assert np.max(np.abs(logits - _reference_logits(model, tok, seg, mask))) < 1e-12
 
 
 def test_forward_rejects_out_of_range_ids():
@@ -263,11 +311,83 @@ def test_train_aborts_on_non_finite_loss():
             train(model, _toy_data(), TrainConfig(epochs=1, batch_size=8))
 
 
+@pytest.mark.parametrize("clip_norm", [1.0, 0.0])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_train_aborts_on_non_finite_gradient_before_the_update(monkeypatch, clip_norm,
+                                                               bad):
+    backward = Classifier._backward
+    seen = []
+
+    def poisoned(self, cache, dlogits):
+        grads = backward(self, cache, dlogits)
+        seen.append({k: v.copy() for k, v in self.params.items()})
+        if len(seen) == 3:  # epoch 0 batch 2
+            grads["l0.w1"][0, 0] = bad
+        return grads
+
+    monkeypatch.setattr(Classifier, "_backward", poisoned)
+    model = Classifier(TINY, seed=0)
+    with pytest.raises(TrainingAborted, match="non-finite gradient at epoch 0 batch 2$"):
+        train(model, _toy_data(), TrainConfig(epochs=1, batch_size=8, clip_norm=clip_norm))
+    assert model.check_finite()
+    for name, value in seen[-1].items():
+        assert np.array_equal(value, model.params[name])
+
+
 # -- gradients -----------------------------------------------------------
 
 
 def test_grad_check_full_model():
     assert grad_check(n_probes=60, seed=0) < 1e-3
+
+
+def test_grad_check_two_layers():
+    # The first layer runs every query row, the second only the CLS row.
+    cfg = ModelConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=2,
+                      ffn_dim=32, n_segments=4, max_seq_len=8, dropout=0.0)
+    assert grad_check(config=cfg, n_probes=60, seed=0) < 1e-3
+
+
+@pytest.mark.parametrize("n_layers", [0, 2])
+def test_backward_matches_finite_differences_under_fixed_dropout(n_layers):
+    cfg = ModelConfig(vocab_size=20, d_model=8, n_layers=n_layers, n_heads=2,
+                      ffn_dim=16, n_segments=3, max_seq_len=6, dropout=0.3)
+    model = Classifier(cfg, seed=2)
+    rng = np.random.default_rng(3)
+    tok = rng.integers(0, 20, size=(5, 6))
+    seg = rng.integers(0, 3, size=(5, 6))
+    mask = (np.arange(6)[None, :] < rng.integers(1, 7, size=5)[:, None]).astype(np.int64)
+    y = rng.integers(0, 2, size=5).astype(np.float64)
+
+    def objective():
+        # The same dropout masks on every call.
+        logits, cache = model._forward(tok, seg, mask, train=True,
+                                       rng=np.random.default_rng(4))
+        return float((np.logaddexp(0.0, logits) - y * logits).mean()), logits, cache
+
+    _, logits, cache = objective()
+    grads = model._backward(cache, (sigmoid(logits) - y) / len(y))
+    direction = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
+    analytic = sum(float((grads[k] * d).sum()) for k, d in direction.items())
+    h = 1e-5
+    sides = []
+    for sign in (1.0, -1.0):
+        for k, d in direction.items():
+            model.params[k] += sign * h * d
+        sides.append(objective()[0])
+        for k, d in direction.items():
+            model.params[k] -= sign * h * d
+    numeric = (sides[0] - sides[1]) / (2.0 * h)
+    assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
+
+
+def test_scatter_rows_equals_add_at():
+    rng = np.random.default_rng(6)
+    ids = rng.integers(0, 50, size=(32, 36))
+    dx = rng.normal(size=(32, 36, 8))
+    expected = np.zeros((50, 8))
+    np.add.at(expected, ids, dx)
+    assert np.array_equal(_scatter_rows(ids, dx, 50), expected)
 
 
 def test_grad_check_embeddings_and_head_only():
@@ -333,6 +453,30 @@ def test_predict_exact_tie_prefers_smaller_entity_id():
     model = _ScriptedModel([0.5, 0.5])
     out = predict(model, _MENTION, ["Q9", "Q10"], pipeline)
     assert out.chosen == "Q10"  # lexicographic order, ascending
+
+
+class _SameInputPipeline:
+    def __init__(self, inp):
+        self.inp = inp
+
+    def encode_pair(self, mention, candidate):
+        return self.inp
+
+
+def test_identical_inputs_score_exactly_equal_and_tie_to_smaller_id():
+    cfg = ModelConfig(vocab_size=200, d_model=32, n_layers=2, n_heads=2, ffn_dim=64,
+                      n_segments=17, max_seq_len=96, dropout=0.0)
+    model = Classifier(cfg, seed=0)
+    for input_seed in range(16):
+        rng = np.random.default_rng(input_seed)
+        inp = _inp(rng.integers(1, 200, size=36).tolist(),
+                   segments=rng.integers(0, 17, size=36).tolist(), limit=96)
+        for n in range(2, 9):
+            entities = [f"Q{i}" for i in range(n, 0, -1)]
+            assert len(set(score(model, [inp] * n).tolist())) == 1
+            out = predict(model, _MENTION, entities, _SameInputPipeline(inp))
+            assert len(set(out.scores.values())) == 1
+            assert out.chosen == "Q1"
 
 
 def test_predict_single_candidate():
