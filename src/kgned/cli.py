@@ -24,7 +24,8 @@ from pathlib import Path
 from .assembly import Mention
 from .candidates import MODE_CONTAINS, MODE_EXACT, build_index, lookup
 from .context import ContextConfig
-from .data import DatasetError, EncodingPipeline, load_jsonl, to_pairs, vocab_lines
+from .data import (DatasetError, EncodingPipeline, iter_json_objects, load_jsonl, to_pairs,
+                   vocab_lines)
 from .kg import HOP_ONE, HOP_ONE_TWO, ParseError, TripleStore, load_store
 from .metrics import (ReportError, flip_analysis, flip_report_dict, format_report,
                       inkb_accuracy, make_report, pair_confusion, prf, write_report)
@@ -314,18 +315,10 @@ def cmd_eval(args, config) -> int:
 
 def _read_predictions(path: str) -> dict[str, str | None]:
     out: dict[str, str | None] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(path, line_no, f"invalid JSON: {exc}") from exc
-            if "mention_id" not in obj or "predicted" not in obj:
-                raise DatasetError(path, line_no, "need mention_id and predicted fields")
-            out[str(obj["mention_id"])] = obj["predicted"]
+    for line_no, obj in iter_json_objects(path):
+        if "mention_id" not in obj or "predicted" not in obj:
+            raise DatasetError(path, line_no, "need mention_id and predicted fields")
+        out[str(obj["mention_id"])] = obj["predicted"]
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -109,9 +110,9 @@ def _parse_example(obj: dict, path: str, line_no: int, default_id: str) -> Menti
         gold=gold, candidates=tuple(candidates), negatives=tuple(negatives))
 
 
-def load_jsonl(path: str) -> list[MentionExample]:
-    """Load examples in file order, validating every line."""
-    out = []
+def iter_json_objects(path: str) -> Iterator[tuple[int, dict]]:
+    """``(line_no, object)`` for each non-blank line of a JSONL file; a line
+    that is not a JSON object raises :class:`DatasetError`."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -121,8 +122,15 @@ def load_jsonl(path: str) -> list[MentionExample]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(path, line_no, f"invalid JSON: {exc}") from exc
-            out.append(_parse_example(obj, str(path), line_no, default_id=f"m{line_no:05d}"))
-    return out
+            if not isinstance(obj, dict):
+                raise DatasetError(path, line_no, "expected a JSON object")
+            yield line_no, obj
+
+
+def load_jsonl(path: str) -> list[MentionExample]:
+    """Load examples in file order, validating every line."""
+    return [_parse_example(obj, str(path), line_no, default_id=f"m{line_no:05d}")
+            for line_no, obj in iter_json_objects(path)]
 
 
 def save_jsonl(examples: list[MentionExample], path: str) -> None:

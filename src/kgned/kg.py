@@ -10,11 +10,18 @@ in plain TSV files:
 UTF-8, LF line endings, no header.  Within each ``(head, hop)`` group the
 file order defines the triple rank, which downstream code treats as the
 retrieval order and never re-sorts.
+
+The store keeps each ``(head, hop)`` group as an insertion-ordered dict
+``{(relation, tail): is_literal}``, so a triple's rank is its insertion
+position and a duplicate row collapses in O(1).  :class:`Triple` objects
+are built when read, by :meth:`TripleStore.neighbors` and
+:meth:`TripleStore.all_triples`.
 """
 
 from __future__ import annotations
 
-import io
+import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -42,8 +49,17 @@ def check_hops(hops: str) -> str:
     return hops
 
 
+# ``\S`` on a str pattern is exactly ``not str.isspace()``; tests/test_kg.py
+# checks that on every code point.
+_ID = re.compile(r"\S+")
+# A well-formed triples row, including its line end if any.  A literal tail
+# may hold spaces or be empty; an entity tail is an id.
+_TRIPLE_ROW = re.compile(
+    r"(\S+)\t(\S+)\t(?:(\S+)\t([12])\t0|([^\t\n\r]*)\t([12])\t1)\n?")
+
+
 def _check_id(value: str, what: str) -> str:
-    if not value or any(c.isspace() for c in value):
+    if not _ID.fullmatch(value):
         raise ValueError(f"{what} must be non-empty without whitespace: {value!r}")
     return value
 
@@ -84,11 +100,14 @@ class TripleStore:
 
     Mutation happens only through :meth:`add_triple` / :meth:`add_label`
     while a loader or fetcher populates the store; afterwards it is safe
-    for concurrent readers.
+    for concurrent readers, since reads build fresh :class:`Triple` objects
+    and never write to the store.  A triple's rank is its insertion
+    position within its ``(head, hop)`` group.
     """
 
     def __init__(self) -> None:
-        self._groups: dict[tuple[str, int], list[Triple]] = {}
+        # (head, hop) -> {(relation, tail): is_literal}, in rank order.
+        self._groups: dict[tuple[str, int], dict[tuple[str, str], bool]] = {}
         self._labels: dict[str, list[LabelRecord]] = {}
 
     # -- population ------------------------------------------------------
@@ -108,13 +127,11 @@ class TripleStore:
             _check_id(tail, "tail")
         if hop not in (1, 2):
             raise ValueError(f"hop must be 1 or 2, got {hop!r}")
-        group = self._groups.setdefault((head, hop), [])
-        for existing in group:
-            if existing.relation == relation and existing.tail == tail:
-                return None
-        triple = Triple(head, relation, tail, hop, rank=len(group), is_literal=is_literal)
-        group.append(triple)
-        return triple
+        group = self._groups.setdefault((head, hop), {})
+        if (relation, tail) in group:
+            return None
+        group[relation, tail] = is_literal
+        return Triple(head, relation, tail, hop, rank=len(group) - 1, is_literal=is_literal)
 
     def add_label(self, subject: str, kind: str, text: str) -> None:
         """Record a label; duplicate rows and second primary labels are dropped."""
@@ -147,10 +164,15 @@ class TripleStore:
         triples.  Unknown heads give an empty list.
         """
         check_hops(hops)
-        out = list(self._groups.get((head, 1), ()))
+        out = self._group_triples(head, 1)
         if hops == HOP_ONE_TWO:
-            out.extend(self._groups.get((head, 2), ()))
+            out += self._group_triples(head, 2)
         return out
+
+    def _group_triples(self, head: str, hop: int) -> list[Triple]:
+        return [Triple(head, relation, tail, hop, rank, is_literal)
+                for rank, ((relation, tail), is_literal)
+                in enumerate(self._groups.get((head, hop), {}).items())]
 
     def labels(self, subject: str) -> list[LabelRecord]:
         """All label records for ``subject``: primary first, then aliases,
@@ -166,6 +188,11 @@ class TripleStore:
             primary = [LabelRecord(subject, KIND_LABEL, subject)]
         return primary + aliases + descriptions
 
+    def stored_labels(self, subject: str) -> list[LabelRecord]:
+        """The records actually stored for ``subject``, in insertion order;
+        unlike :meth:`labels`, unknown subjects give an empty list."""
+        return list(self._labels.get(subject, ()))
+
     def primary_label(self, subject: str) -> str:
         return self.labels(subject)[0].text
 
@@ -173,8 +200,8 @@ class TripleStore:
         return list(self._groups.keys())
 
     def all_triples(self) -> Iterator[Triple]:
-        for group in self._groups.values():
-            yield from group
+        for head, hop in self._groups:
+            yield from self._group_triples(head, hop)
 
     def all_label_records(self) -> Iterator[LabelRecord]:
         for records in self._labels.values():
@@ -195,8 +222,30 @@ def load_store(triples_file: str, labels_file: str) -> TripleStore:
     :class:`ParseError` naming the file and line number.
     """
     store = TripleStore()
+    groups = store._groups
+    match_row = _TRIPLE_ROW.fullmatch
+    intern = sys.intern
+    last_head = last_hop = group = None
     with open(triples_file, encoding="utf-8", newline="") as fh:
+        # Lines split as universal newlines do, so a lone "\r" ends a line
+        # too; the row pattern rejects it and the checks below report it.
         for line_no, line in enumerate(fh, start=1):
+            m = match_row(line)
+            if m is not None:
+                head, relation, tail, hop_s, text, text_hop_s = m.groups()
+                if tail is None:
+                    tail, hop_s, is_literal = text, text_hop_s, True
+                else:
+                    tail, is_literal = intern(tail), False
+                # Rows of one group usually sit together: look it up per run.
+                if head != last_head or hop_s != last_hop:
+                    last_head, last_hop = head, hop_s
+                    key = (intern(head), 1 if hop_s == "1" else 2)
+                    group = groups.get(key)
+                    if group is None:
+                        group = groups[key] = {}
+                group.setdefault((intern(relation), tail), is_literal)
+                continue
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -238,31 +287,25 @@ def save_store(store: TripleStore, triples_file: str, labels_file: str) -> None:
     labels; saving a freshly loaded store is byte-identical to its input.
     """
     with open(triples_file, "w", encoding="utf-8", newline="") as fh:
-        for triple in store.all_triples():
-            fh.write(format_triple_row(triple))
+        fh.writelines(_triple_rows(store))
     with open(labels_file, "w", encoding="utf-8", newline="") as fh:
-        for record in store.all_label_records():
-            fh.write(format_label_row(record))
+        fh.writelines(_label_rows(store))
 
 
-def format_triple_row(triple: Triple) -> str:
-    literal = "1" if triple.is_literal else "0"
-    return f"{triple.head}\t{triple.relation}\t{triple.tail}\t{triple.hop}\t{literal}\n"
+def _triple_rows(store: TripleStore) -> Iterator[str]:
+    for (head, hop), group in store._groups.items():
+        for (relation, tail), is_literal in group.items():
+            yield f"{head}\t{relation}\t{tail}\t{hop}\t{1 if is_literal else 0}\n"
 
 
-def format_label_row(record: LabelRecord) -> str:
-    return f"{record.subject}\t{record.kind}\t{record.text}\n"
+def _label_rows(store: TripleStore) -> Iterator[str]:
+    for record in store.all_label_records():
+        yield f"{record.subject}\t{record.kind}\t{record.text}\n"
 
 
 def dump_store(store: TripleStore) -> tuple[str, str]:
     """In-memory TSV serialization, handy for tests and hashing."""
-    triples = io.StringIO()
-    labels = io.StringIO()
-    for triple in store.all_triples():
-        triples.write(format_triple_row(triple))
-    for record in store.all_label_records():
-        labels.write(format_label_row(record))
-    return triples.getvalue(), labels.getvalue()
+    return "".join(_triple_rows(store)), "".join(_label_rows(store))
 
 
 def store_from_rows(triples: Iterable[tuple[str, str, str, int, bool]],

@@ -213,12 +213,13 @@ def fetch_remote(endpoint: str, entity: str, hops: str = HOP_ONE, cap: int = 50,
         if not force and (entity, hops) in fetched(cache_dir):
             cached = _load_cache(cache_dir)
             triples = cached.neighbors(entity, hops)
+            # The subjects a cold fetch asks labels for, in the same order.
+            subjects = dict.fromkeys([entity] + [s for t in triples for s in _subjects_of(t)])
+            labels = [r for subject in subjects for r in cached.stored_labels(subject)]
             if store is not None:
                 _merge(store, entity, hops,
-                       [(t.relation, t.tail, t.hop, t.is_literal) for t in triples],
-                       [r for t in triples for subj in _subjects_of(t)
-                        for r in cached.labels(subj)])
-            return FetchResult(entity, hops, triples, [], from_cache=True)
+                       [(t.relation, t.tail, t.hop, t.is_literal) for t in triples], labels)
+            return FetchResult(entity, hops, triples, labels, from_cache=True)
 
     uri = ENTITY_PREFIX + entity
     rows: list[tuple[str, str, int, bool]] = []

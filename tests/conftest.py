@@ -149,7 +149,9 @@ class MockEndpoint:
         self.lock = threading.Lock()
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _MockHandler)
         self._server.mock = self
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short shutdown poll keeps teardown fast; the default is 0.5 s.
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
         self._thread.start()
         self.url = f"http://127.0.0.1:{self._server.server_address[1]}/sparql"
 

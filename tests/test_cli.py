@@ -427,6 +427,25 @@ def test_diff_invalid_predictions_file(tmp_path, capsys):
     assert rc == EXIT_DATA
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "diff"])
+def test_non_object_json_line_is_a_data_error(command, workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n5\n", encoding="utf-8")
+    argv = {
+        "train": ["train", "--data", str(bad), "--kg", str(workspace["kg"]),
+                  "--out", str(tmp_path / "m.npz")],
+        "eval": ["eval", "--data", str(bad), "--kg", str(workspace["kg"]),
+                 "--checkpoint", str(workspace["zero"])],
+        "diff": ["diff", "--before", str(bad), "--after", str(bad),
+                 "--gold", str(workspace["eval"])],
+    }[command]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert f"{bad}:2: expected a JSON object" in err
+    assert "Traceback" not in err
+
+
 # -- disambiguate --------------------------------------------------------
 
 

@@ -1,11 +1,12 @@
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgned.kg import (HOP_ONE, HOP_ONE_TWO, LabelRecord, ParseError, TripleStore,
+from kgned.kg import (_ID, HOP_ONE, HOP_ONE_TWO, LabelRecord, ParseError, TripleStore,
                       dump_store, load_store, save_store, store_from_rows)
 
 from conftest import HIGHWAY_LABELS, HIGHWAY_TRIPLES
@@ -168,3 +169,135 @@ def test_validation_rejects_bad_ids():
         store.add_triple("Q1", "P31", "Q2", 3, False)
     with pytest.raises(ValueError):
         store.add_label("Q1", "label", "multi\nline")
+
+
+# -- the loader against the per-row rules it replaced ---------------------
+
+
+def test_id_pattern_agrees_with_isspace_on_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(_ID.findall(every)) == "".join(c for c in every if not c.isspace())
+
+
+def _reference_load(triples_file, labels_file):
+    """The loader's per-row rules, one check at a time: the dump_store text
+    of the store, or the ParseError message."""
+
+    def check_id(value, what, where):
+        if not value or any(c.isspace() for c in value):
+            raise ParseError(*where, f"{what} must be non-empty without whitespace: {value!r}")
+
+    def check_text(value, what, where):
+        if "\t" in value or "\n" in value or "\r" in value:
+            raise ParseError(*where, f"{what} may not contain tabs or newlines: {value!r}")
+
+    def rows(path, n_cols):
+        with open(path, encoding="utf-8", newline="") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                cols = line.split("\t")
+                if len(cols) != n_cols:
+                    raise ParseError(path, line_no,
+                                     f"expected {n_cols} tab-separated columns, got {len(cols)}")
+                yield (path, line_no), cols
+
+    groups, labels = {}, {}
+    try:
+        for where, (head, relation, tail, hop_s, lit_s) in rows(triples_file, 5):
+            if hop_s not in ("1", "2"):
+                raise ParseError(*where, f"unknown hop value {hop_s!r}")
+            if lit_s not in ("0", "1"):
+                raise ParseError(*where, f"is_literal must be 0 or 1, got {lit_s!r}")
+            check_id(head, "head", where)
+            check_id(relation, "relation", where)
+            if lit_s == "1":
+                check_text(tail, "literal tail", where)
+            else:
+                check_id(tail, "tail", where)
+            group = groups.setdefault((head, hop_s), [])
+            if all((relation, tail) != (r, t) for r, t, _ in group):
+                group.append((relation, tail, lit_s))
+        for where, (subject, kind, text) in rows(labels_file, 3):
+            check_id(subject, "subject", where)
+            check_text(text, "label text", where)
+            if kind not in ("label", "alias", "description"):
+                raise ParseError(*where, f"unknown label kind {kind!r}")
+            records = labels.setdefault(subject, [])
+            if kind == "label" and any(k == "label" for k, _ in records):
+                continue
+            if (kind, text) not in records:
+                records.append((kind, text))
+    except ParseError as exc:
+        return str(exc)
+    return ("".join(f"{head}\t{r}\t{t}\t{hop}\t{lit}\n"
+                    for (head, hop), group in groups.items() for r, t, lit in group),
+            "".join(f"{subject}\t{kind}\t{text}\n"
+                    for subject, records in labels.items() for kind, text in records))
+
+
+# Characters str.isspace() accepts, in and beyond ASCII; a universal-newline
+# read also ends a line at "\r".
+_SPACES = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+           " ", "\x0b", "\x0c", "\r"]
+_ids = st.sampled_from(["Q1", "Q2", "P31", "P17", "é"])
+_texts = _ids | st.sampled_from(["", " ", "a b", " x ", "31 May 2019", "\x85a", "b\u3000"])
+_hops = st.sampled_from(["1", "2"])
+_odd = st.text(alphabet=st.sampled_from(_SPACES + ["Q", "1"]), max_size=3)
+_odd_line = st.sampled_from(["\r", "Q1\tP31\tQ2\t1", "Q1\tP31\tQ2\t1\t0\t0",
+                             "Q1\tP31\tQ2\t1\t0\r"])
+
+
+def _tsv(row):
+    """Lines of ``row`` (an empty one is a blank line), with or without a
+    final newline."""
+    lines = st.lists(row | st.just(""), max_size=20)
+    return st.builds(lambda ls, end: "\n".join(ls) + end, lines, st.sampled_from(["", "\n"]))
+
+
+_valid_triple = st.one_of(
+    st.tuples(_ids, _ids, _ids, _hops, st.just("0")),
+    st.tuples(_ids, _ids, _texts, _hops, st.just("1"))).map("\t".join)
+_any_triple = st.tuples(_ids | _odd, _ids | _odd, _texts | _odd,
+                        _hops | st.sampled_from(["3", "", "12", "1 "]),
+                        st.sampled_from(["0", "1", "2", "", "01"])).map("\t".join)
+_valid_label = st.tuples(_ids, st.sampled_from(["label", "alias", "description"]),
+                         _texts).map("\t".join)
+_any_label = st.tuples(_ids | _odd, st.sampled_from(["label", "alias", "nick", ""]),
+                       _texts | _odd).map("\t".join)
+# Half the files are valid throughout; the rest mix in malformed rows.
+_triples_tsv = _tsv(_valid_triple) | _tsv(_valid_triple | _any_triple | _odd_line)
+_labels_tsv = _tsv(_valid_label) | _tsv(_valid_label | _any_label | _odd_line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triples=_triples_tsv, labels=_labels_tsv)
+@example(triples="Q1\tP31\tQ\x1c2\t1\t0\n", labels="")
+@example(triples="Q1\tP\u202831\tx\t1\t1\n", labels="")
+@example(triples="Q1\tP31\ta\rb\t1\t1\n", labels="")
+@example(triples="Q1\tP31\tQ2\t1\t0\n\r\nQ1\tP31\tQ3\t1\t0\n", labels="")
+@example(triples="Q1\tP31\tQ2\t1\t0\r\n", labels="")
+@example(triples="Q1\tP31\t\t1\t1\nQ1\tP31\t \t2\t1", labels="")
+@example(triples="Q1\tP31\tQ2\t1\t1\nQ1\tP31\tQ2\t1\t0\n\nQ1\tP17\tQ2\t1\t0", labels="")
+@example(triples="", labels="Q\xa01\tlabel\tx\n")
+@example(triples="", labels="Q1\tlabel\ta\nQ1\tlabel\tb\nQ1\talias\ta\nQ1\talias\ta")
+def test_load_store_matches_the_per_row_rules(triples, labels):
+    with tempfile.TemporaryDirectory() as tmp:
+        t, l = str(Path(tmp) / "t.tsv"), str(Path(tmp) / "l.tsv")
+        Path(t).write_bytes(triples.encode("utf-8"))
+        Path(l).write_bytes(labels.encode("utf-8"))
+        expected = _reference_load(t, l)
+        try:
+            got = dump_store(load_store(t, l))
+        except ParseError as exc:
+            got = str(exc)
+        assert got == expected
+        if isinstance(expected, str):
+            return
+        # Saving writes the canonical form, and the canonical form is a fixpoint.
+        save_store(load_store(t, l), t, l)
+        assert tuple(Path(f).read_bytes().decode("utf-8") for f in (t, l)) == expected
+        before = Path(t).read_bytes(), Path(l).read_bytes()
+        save_store(load_store(t, l), t, l)
+        assert (Path(t).read_bytes(), Path(l).read_bytes()) == before

@@ -142,6 +142,22 @@ def test_cached_fetch_fills_a_caller_store(mock, tmp_path):
     assert store.primary_label("Q1967298") == "National Highway"
 
 
+def test_warm_fetch_returns_and_merges_the_same_labels_as_cold(mock, tmp_path):
+    # Only Q1 has a label: the relation and the tail must not gain
+    # synthetic raw-id labels on the warm path.
+    mock.hop1["Q1"] = [triple_binding(_prop("P31"), entity_binding("Q99"))]
+    mock.labels[ENTITY_PREFIX + "Q1"] = [("label", "first entity")]
+    cache = str(tmp_path)
+    cold_store, warm_store = TripleStore(), TripleStore()
+    cold = fetch_remote(mock.url, "Q1", cache_dir=cache, store=cold_store)
+    warm = fetch_remote(mock.url, "Q1", cache_dir=cache, store=warm_store)
+    assert not cold.from_cache and warm.from_cache
+    assert [r.text for r in cold.labels] == ["first entity"]
+    assert warm.labels == cold.labels
+    assert list(warm_store.all_label_records()) == list(cold_store.all_label_records())
+    assert warm_store.stored_labels("P31") == []
+
+
 # -- failure taxonomy ----------------------------------------------------
 
 
