@@ -156,10 +156,12 @@ def _load_kg(kg_dir: str) -> TripleStore:
     return load_store(str(triples), str(labels))
 
 
-def _ensure_vocab(path: str | None, lines: list[str]) -> Vocab:
+def _ensure_vocab(path: str | None, make_lines) -> Vocab:
+    """The vocab at ``path`` if that file exists; otherwise one built from
+    ``make_lines()``, called only then, and saved to ``path`` when given."""
     if path and Path(path).is_file():
         return load_vocab(path)
-    vocab = build_vocab(lines)
+    vocab = build_vocab(make_lines())
     if path:
         save_vocab(vocab, path)
     return vocab
@@ -214,7 +216,7 @@ def cmd_train(args, config) -> int:
                 raise DatasetError(args.model_cfg, 0, f"unknown model key {key!r}")
             config[key] = _COERCE[key](overrides[key])
 
-    vocab = _ensure_vocab(args.vocab, vocab_lines(examples, store))
+    vocab = _ensure_vocab(args.vocab, lambda: vocab_lines(examples, store))
     pairs = to_pairs(examples)
     if not pairs:
         raise DatasetError(args.data, 0, "dataset produced no training pairs")

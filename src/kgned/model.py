@@ -19,6 +19,15 @@ alone, and its backward pass starts from that one row.  The other rows
 would never reach the head, so the logits equal the all-positions
 encoder's up to rounding: the matrix products see other shapes and may
 round differently in the last bits.
+
+The kernels work in place to avoid a fresh array per operation, and run
+the same floating-point operations in the same order as the allocating
+formulas, so results are bit-identical to them.  ``_softmax`` overwrites
+the array it is given and returns it; ``_softmax_backward`` overwrites
+its gradient argument.  Adam in :func:`train` updates only the rows of
+``tok_emb`` that some batch has used so far.  That is exact, not lazy
+Adam: a row no batch has used has a zero gradient and zero moments, so
+its Adam step is exactly 0, and once used a row stays in every update.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from .tokenizer import Vocab
 _LN_EPS = 1e-5
 _MASK_BIAS = -1e9
 _PROB_EPS = 1e-12
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 CHECKPOINT_FORMAT = "kgned-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -114,33 +124,69 @@ def _losses_from_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm_forward(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
-    return gamma * xhat + beta, (xhat, inv, gamma)
+    # x - mean is taken once and serves both the variance (the operations
+    # np.var runs) and xhat, which is then normalized in place.
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    out = xhat * xhat
+    var = out.sum(axis=-1, keepdims=True) / x.shape[-1]
+    var += _LN_EPS
+    inv = 1.0 / np.sqrt(var, out=var)
+    xhat *= inv
+    np.multiply(gamma, xhat, out=out)
+    out += beta
+    return out, (xhat, inv, gamma)
 
 
 def _layer_norm_backward(dy, cache):
+    # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), built in
+    # the buffer of dxhat = dy * gamma, with one scratch array.
     xhat, inv, gamma = cache
-    dgamma = (dy * xhat).sum(axis=(0, 1))
+    tmp = dy * xhat
+    dgamma = tmp.sum(axis=(0, 1))
     dbeta = dy.sum(axis=(0, 1))
-    dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    dx = dy * gamma
+    m1 = dx.mean(axis=-1, keepdims=True)
+    m2 = np.multiply(dx, xhat, out=tmp).mean(axis=-1, keepdims=True)
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=tmp)
+    dx *= inv
     return dx, dgamma, dbeta
 
 
 def _softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in ``x`` itself and returned."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
+def _softmax_backward(dattn_used, attn, drop_mask):
+    """Gradient w.r.t. the softmax input, ``attn * (dattn - rowsum(dattn *
+    attn))`` where ``dattn`` is ``dattn_used`` times ``drop_mask`` (None
+    without dropout); computed in the ``dattn_used`` buffer and returned."""
+    d = dattn_used
+    if drop_mask is not None:
+        d *= drop_mask
+    # One input at a time, so the product is a small temporary rather than
+    # one as large as the batch's attention; each row sums the same way.
+    rowsum = np.empty(d.shape[:-1] + (1,))
+    for b in range(len(d)):
+        rowsum[b] = (d[b] * attn[b]).sum(axis=-1, keepdims=True)
+    d -= rowsum
+    d *= attn
+    return d
 
 
 def _dropout_mask(rng, shape, rate):
     # Inverted dropout: scale at train time so inference needs no rescale.
     return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def _affine(x, w, b):
+    y = x @ w
+    y += b
+    return y
 
 
 def _split_heads(x, n_heads):
@@ -229,13 +275,15 @@ class Classifier:
         maskf = mask.astype(np.float64)
         bias = (1.0 - maskf)[:, None, None, :] * _MASK_BIAS
 
-        x = p["tok_emb"][tok] + p["pos_emb"][:L][None, :, :] + p["seg_emb"][seg]
+        x = p["tok_emb"][tok]
+        x += p["pos_emb"][:L][None, :, :]
+        x += p["seg_emb"][seg]
         if not cfg.n_layers:
             x = x[:, :1]  # the head reads only the CLS row
         cache = {"tok": tok, "seg": seg, "drop": drop, "layers": []}
         if drop > 0:
             m = _dropout_mask(rng, x.shape, drop)
-            x = x * m
+            x *= m
             cache["emb_drop"] = m
 
         n_heads = cfg.n_heads
@@ -245,28 +293,33 @@ class Classifier:
             rows = slice(0, 1) if i == cfg.n_layers - 1 else slice(None)
             xq = x[:, rows]
             lc = {"x_in": x, "rows": rows}
-            q = _split_heads(xq @ p[f"l{i}.wq"] + p[f"l{i}.bq"], n_heads)
-            k = _split_heads(x @ p[f"l{i}.wk"] + p[f"l{i}.bk"], n_heads)
-            v = _split_heads(x @ p[f"l{i}.wv"] + p[f"l{i}.bv"], n_heads)
-            scores = (q @ k.transpose(0, 1, 3, 2)) * scale + bias
+            q = _split_heads(_affine(xq, p[f"l{i}.wq"], p[f"l{i}.bq"]), n_heads)
+            k = _split_heads(_affine(x, p[f"l{i}.wk"], p[f"l{i}.bk"]), n_heads)
+            v = _split_heads(_affine(x, p[f"l{i}.wv"], p[f"l{i}.bv"]), n_heads)
+            scores = q @ k.transpose(0, 1, 3, 2)
+            scores *= scale
+            scores += bias
             attn = _softmax(scores)
             attn_used = attn
             if drop > 0:
                 lc["attn_drop"] = _dropout_mask(rng, attn.shape, drop)
                 attn_used = attn * lc["attn_drop"]
             ctx = _merge_heads(attn_used @ v)
-            proj = ctx @ p[f"l{i}.wo"] + p[f"l{i}.bo"]
+            proj = _affine(ctx, p[f"l{i}.wo"], p[f"l{i}.bo"])
             if drop > 0:
                 lc["proj_drop"] = _dropout_mask(rng, proj.shape, drop)
-                proj = proj * lc["proj_drop"]
-            x1, lc["ln1"] = _layer_norm_forward(xq + proj, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
+                proj *= lc["proj_drop"]
+            proj += xq
+            x1, lc["ln1"] = _layer_norm_forward(proj, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
 
-            hidden = np.maximum(x1 @ p[f"l{i}.w1"] + p[f"l{i}.b1"], 0.0)
-            ffn = hidden @ p[f"l{i}.w2"] + p[f"l{i}.b2"]
+            hidden = _affine(x1, p[f"l{i}.w1"], p[f"l{i}.b1"])
+            np.maximum(hidden, 0.0, out=hidden)
+            ffn = _affine(hidden, p[f"l{i}.w2"], p[f"l{i}.b2"])
             if drop > 0:
                 lc["ffn_drop"] = _dropout_mask(rng, ffn.shape, drop)
-                ffn = ffn * lc["ffn_drop"]
-            x2, lc["ln2"] = _layer_norm_forward(x1 + ffn, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
+                ffn *= lc["ffn_drop"]
+            ffn += x1
+            x2, lc["ln2"] = _layer_norm_forward(ffn, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
 
             lc.update(q=q, k=k, v=v, attn=attn, attn_used=attn_used,
                       ctx=ctx, x1=x1, hidden=hidden)
@@ -306,13 +359,14 @@ class Classifier:
             flat_dffn = dffn.reshape(-1, cfg.d_model)
             grads[f"l{i}.w2"] += flat_h.T @ flat_dffn
             grads[f"l{i}.b2"] += flat_dffn.sum(axis=0)
-            dhidden = dffn @ p[f"l{i}.w2"].T
-            dpre = dhidden * (hidden > 0)
+            dpre = dffn @ p[f"l{i}.w2"].T
+            dpre *= hidden > 0
             flat_x1 = x1.reshape(-1, cfg.d_model)
             flat_dpre = dpre.reshape(-1, cfg.ffn_dim)
             grads[f"l{i}.w1"] += flat_x1.T @ flat_dpre
             grads[f"l{i}.b1"] += flat_dpre.sum(axis=0)
-            dx1 = dr2 + dpre @ p[f"l{i}.w1"].T
+            dx1 = dpre @ p[f"l{i}.w1"].T
+            dx1 += dr2
 
             dr1, dg1, db1 = _layer_norm_backward(dx1, lc["ln1"])
             grads[f"l{i}.ln1_g"] += dg1
@@ -324,13 +378,13 @@ class Classifier:
             grads[f"l{i}.bo"] += flat_dproj.sum(axis=0)
             dctx = _split_heads(dproj @ p[f"l{i}.wo"].T, n_heads)
 
-            dattn_used = dctx @ lc["v"].transpose(0, 1, 3, 2)
             dv = lc["attn_used"].transpose(0, 1, 3, 2) @ dctx
-            dattn = dattn_used * lc["attn_drop"] if drop > 0 else dattn_used
-            attn = lc["attn"]
-            dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-            dq = (dscores @ lc["k"]) * scale
-            dk = (dscores.transpose(0, 1, 3, 2) @ lc["q"]) * scale
+            dscores = _softmax_backward(dctx @ lc["v"].transpose(0, 1, 3, 2), lc["attn"],
+                                        lc.get("attn_drop"))
+            dq = dscores @ lc["k"]
+            dq *= scale
+            dk = dscores.transpose(0, 1, 3, 2) @ lc["q"]
+            dk *= scale
 
             # The query side and the residual reach only the layer's rows;
             # keys and values reach every position.
@@ -348,7 +402,7 @@ class Classifier:
         # dx covers every position, or the CLS row alone when there is no layer.
         n = dx.shape[1]
         if drop > 0:
-            dx = dx * cache["emb_drop"]
+            dx *= cache["emb_drop"]
         grads["tok_emb"] += _scatter_rows(cache["tok"][:, :n], dx, cfg.vocab_size)
         grads["pos_emb"][:n] += dx.sum(axis=0)
         grads["seg_emb"] += _scatter_rows(cache["seg"][:, :n], dx, cfg.n_segments)
@@ -388,6 +442,26 @@ class TrainResult:
     history: list[float]
 
 
+def _adam_step(param, g, m, v, step, lr):
+    """One Adam step on ``param``, ``m`` and ``v`` in place, with the
+    operations of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``param -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``; ``g`` is overwritten."""
+    tmp = np.multiply(g, 1 - _BETA1)
+    m *= _BETA1
+    m += tmp
+    np.multiply(g, 1 - _BETA2, out=tmp)
+    tmp *= g
+    v *= _BETA2
+    v += tmp
+    np.divide(v, 1.0 - _BETA2 ** step, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += _ADAM_EPS
+    np.divide(m, 1.0 - _BETA1 ** step, out=g)
+    g *= lr
+    g /= tmp
+    param -= g
+
+
 def train(model: Classifier, data: list[tuple[AssembledInput, int]],
           cfg: TrainConfig) -> TrainResult:
     """Mini-batch gradient descent with Adam and global-norm clipping.
@@ -407,9 +481,11 @@ def train(model: Classifier, data: list[tuple[AssembledInput, int]],
     n = len(data)
     rng = np.random.default_rng(cfg.seed)
 
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
     m = {k: np.zeros_like(v) for k, v in model.params.items()}
     v = {k: np.zeros_like(v) for k, v in model.params.items()}
+    # Token rows some batch has used; the others have m = v = 0 and take
+    # an Adam step of exactly 0 (see the module doc).
+    seen = np.zeros(model.config.vocab_size, dtype=bool)
     step = 0
     history = []
 
@@ -419,6 +495,7 @@ def train(model: Classifier, data: list[tuple[AssembledInput, int]],
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
             tok, seg, mask = _trim(tok_all[idx], seg_all[idx], mask_all[idx])
+            seen[tok] = True
             y = y_all[idx]
             logits, cache = model._forward(tok, seg, mask, train=True, rng=rng)
             losses = _losses_from_logits(logits, y)
@@ -441,13 +518,14 @@ def train(model: Classifier, data: list[tuple[AssembledInput, int]],
                 for g in grads.values():
                     g *= factor
             step += 1
-            bc1 = 1.0 - beta1 ** step
-            bc2 = 1.0 - beta2 ** step
             for key, g in grads.items():
-                m[key] = beta1 * m[key] + (1 - beta1) * g
-                v[key] = beta2 * v[key] + (1 - beta2) * g * g
-                model.params[key] -= cfg.learning_rate * (m[key] / bc1) / (
-                    np.sqrt(v[key] / bc2) + eps)
+                if key == "tok_emb":
+                    rows = np.flatnonzero(seen)
+                    param, mk, vk = model.params[key][rows], m[key][rows], v[key][rows]
+                    _adam_step(param, g[rows], mk, vk, step, cfg.learning_rate)
+                    model.params[key][rows], m[key][rows], v[key][rows] = param, mk, vk
+                else:
+                    _adam_step(model.params[key], g, m[key], v[key], step, cfg.learning_rate)
         history.append(epoch_sum / n)
     return TrainResult(model=model, history=history)
 

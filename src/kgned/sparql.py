@@ -213,9 +213,7 @@ def fetch_remote(endpoint: str, entity: str, hops: str = HOP_ONE, cap: int = 50,
         if not force and (entity, hops) in fetched(cache_dir):
             cached = _load_cache(cache_dir)
             triples = cached.neighbors(entity, hops)
-            # The subjects a cold fetch asks labels for, in the same order.
-            subjects = dict.fromkeys([entity] + [s for t in triples for s in _subjects_of(t)])
-            labels = [r for subject in subjects for r in cached.stored_labels(subject)]
+            labels = _stored_labels(cached, entity, triples)
             if store is not None:
                 _merge(store, entity, hops,
                        [(t.relation, t.tail, t.hop, t.is_literal) for t in triples], labels)
@@ -253,6 +251,8 @@ def fetch_remote(endpoint: str, entity: str, hops: str = HOP_ONE, cap: int = 50,
     scratch = TripleStore()
     _merge(scratch, entity, hops, rows, labels)
     triples = scratch.neighbors(entity, hops)
+    # What was kept, not what was received: the same records a warm fetch returns.
+    kept_labels = _stored_labels(scratch, entity, triples)
 
     if cache_dir is not None:
         with _cache_lock(cache_dir):
@@ -267,7 +267,14 @@ def fetch_remote(endpoint: str, entity: str, hops: str = HOP_ONE, cap: int = 50,
                     fh.write(f"{entity}\t{hops}\n")
     if store is not None:
         _merge(store, entity, hops, rows, labels)
-    return FetchResult(entity, hops, triples, labels, from_cache=False)
+    return FetchResult(entity, hops, triples, kept_labels, from_cache=False)
+
+
+def _stored_labels(store: TripleStore, entity: str, triples: list[Triple]) -> list[LabelRecord]:
+    """The stored label records of ``entity``, then of each triple's head,
+    relation and entity tail, in first-mention order."""
+    subjects = dict.fromkeys([entity] + [s for t in triples for s in _subjects_of(t)])
+    return [r for subject in subjects for r in store.stored_labels(subject)]
 
 
 def _subjects_of(triple: Triple) -> list[str]:

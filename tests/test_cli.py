@@ -210,6 +210,32 @@ def test_train_env_and_flag_epochs(workspace, tmp_path, monkeypatch, capsys):
     assert len(history["history"]) == 1
 
 
+def test_train_builds_vocab_lines_only_without_a_vocab_file(
+        workspace, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting_vocab_lines(examples, store):
+        calls.append(1)
+        return vocab_lines(examples, store)
+
+    monkeypatch.setattr("kgned.cli.vocab_lines", counting_vocab_lines)
+    vocab_path = tmp_path / "vocab.txt"
+    histories = []
+    for name, extra in (("plain", []), ("first", ["--vocab", str(vocab_path)]),
+                        ("rerun", ["--vocab", str(vocab_path)])):
+        calls.clear()
+        history = tmp_path / f"{name}.history.json"
+        rc = main(["train", "--data", str(workspace["train"]),
+                   "--kg", str(workspace["kg"]), "--out", str(tmp_path / f"{name}.npz"),
+                   "--history", str(history), "--max-seq-len", "64",
+                   "--epochs", "1", "--batch-size", "8", *extra])
+        assert rc == EXIT_OK
+        assert len(calls) == (0 if name == "rerun" else 1), name
+        histories.append(history.read_bytes())
+    assert vocab_path.is_file()
+    assert histories[0] == histories[1] == histories[2]
+
+
 def test_train_without_kg_when_context_disabled(workspace, tmp_path, capsys):
     ckpt = tmp_path / "noctx.npz"
     rc = main(["train", "--data", str(workspace["train"]), "--out", str(ckpt),

@@ -17,7 +17,11 @@ from kgned.model import (
     bce_loss,
     grad_check,
     load_checkpoint,
+    _layer_norm_backward,
+    _layer_norm_forward,
     _scatter_rows,
+    _softmax,
+    _softmax_backward,
     predict,
     save_checkpoint,
     score,
@@ -413,6 +417,166 @@ def test_position_gradient_symmetric_over_identical_positions():
     # positions 1..5 are indistinguishable, so their gradients must agree
     for row in rows[1:]:
         assert np.allclose(row, rows[0], atol=1e-12)
+
+
+# -- in-place kernels against the allocating formulas -------------------
+#
+# Each reference below is the allocating formula the in-place kernel
+# replaced; the two must agree bit for bit.  Outputs are compared on this
+# machine only, since BLAS rounding differs between machines.
+
+
+def _reference_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_layer_norm_forward(x, gamma, beta):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mu) * inv
+    return gamma * xhat + beta, (xhat, inv, gamma)
+
+
+def _reference_layer_norm_backward(dy, cache):
+    xhat, inv, gamma = cache
+    dgamma = (dy * xhat).sum(axis=(0, 1))
+    dbeta = dy.sum(axis=(0, 1))
+    dxhat = dy * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv * (dxhat - m1 - xhat * m2)
+    return dx, dgamma, dbeta
+
+
+def _reference_softmax_backward(dattn_used, attn, drop_mask):
+    dattn = dattn_used * drop_mask if drop_mask is not None else dattn_used
+    return attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+
+
+def _masked_scores(rng, b, h, lq, lk):
+    """Scaled attention scores plus the -1e9 bias on each input's padding."""
+    q = rng.normal(size=(b, h, lq, 16))
+    k = rng.normal(size=(b, h, lk, 16))
+    lengths = rng.integers(1, lk + 1, size=b)
+    bias = (np.arange(lk)[None, :] >= lengths[:, None])[:, None, None, :] * -1e9
+    return (q @ k.transpose(0, 1, 3, 2)) * 0.25 + bias
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 7, 7), (4, 2, 1, 41), (2, 2, 123, 123)])
+def test_softmax_in_place_equals_the_allocating_formula(shape):
+    rng = np.random.default_rng(sum(shape))
+    scores = _masked_scores(rng, *shape)
+    expected = _reference_softmax(scores)
+    out = _softmax(scores)
+    assert out is scores
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("d", [8, 32, 64])
+def test_layer_norm_in_place_equals_the_allocating_formulas(d):
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(5, 13, d)) * rng.uniform(0.01, 50.0, size=(5, 13, 1))
+    gamma, beta = rng.normal(size=d), rng.normal(size=d)
+    y, cache = _layer_norm_forward(x.copy(), gamma, beta)
+    y_ref, cache_ref = _reference_layer_norm_forward(x, gamma, beta)
+    assert np.array_equal(y, y_ref)
+    for got, want in zip(cache, cache_ref):
+        assert np.array_equal(got, want)
+
+    dy = rng.normal(size=x.shape)
+    for got, want in zip(_layer_norm_backward(dy, cache),
+                         _reference_layer_norm_backward(dy, cache_ref)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("shape", [(3, 2, 9, 9), (4, 2, 1, 37), (2, 2, 123, 123)])
+def test_softmax_backward_in_place_equals_the_allocating_formula(dropout, shape):
+    rng = np.random.default_rng(sum(shape) + int(dropout * 10))
+    attn = _softmax(_masked_scores(rng, *shape))
+    dattn_used = rng.normal(size=shape)
+    drop_mask = ((rng.random(shape) >= dropout) / (1.0 - dropout)) if dropout else None
+    expected = _reference_softmax_backward(dattn_used, attn, drop_mask)
+    out = _softmax_backward(dattn_used, attn, drop_mask)
+    assert out is dattn_used
+    assert np.array_equal(out, expected)
+
+
+def _reference_dense_adam_train(model, data, cfg):
+    """The training loop with Adam over every parameter row."""
+    tok_all = np.stack([inp.token_ids for inp, _ in data])
+    seg_all = np.stack([inp.segment_ids for inp, _ in data])
+    mask_all = np.stack([inp.mask for inp, _ in data])
+    y_all = np.asarray([label for _, label in data], dtype=np.float64)
+    n = len(data)
+    rng = np.random.default_rng(cfg.seed)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = {k: np.zeros_like(v) for k, v in model.params.items()}
+    v = {k: np.zeros_like(v) for k, v in model.params.items()}
+    step = 0
+    history = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        epoch_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            lmax = max(1, int(mask_all[idx].sum(axis=1).max()))
+            tok, seg, mask = tok_all[idx, :lmax], seg_all[idx, :lmax], mask_all[idx, :lmax]
+            y = y_all[idx]
+            logits, cache = model._forward(tok, seg, mask, train=True, rng=rng)
+            epoch_sum += float((np.logaddexp(0.0, logits) - y * logits).sum())
+            grads = model._backward(cache, (sigmoid(logits) - y) / len(idx))
+            norm = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+            if cfg.clip_norm > 0 and norm > cfg.clip_norm:
+                for g in grads.values():
+                    g *= cfg.clip_norm / norm
+            step += 1
+            bc1 = 1.0 - beta1 ** step
+            bc2 = 1.0 - beta2 ** step
+            for key, g in grads.items():
+                m[key] = beta1 * m[key] + (1 - beta1) * g
+                v[key] = beta2 * v[key] + (1 - beta2) * g * g
+                model.params[key] -= cfg.learning_rate * (m[key] / bc1) / (
+                    np.sqrt(v[key] / bc2) + eps)
+        history.append(epoch_sum / n)
+    return history
+
+
+@pytest.mark.parametrize("clip_norm", [0.05, 0.0])
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_train_equals_dense_adam(clip_norm, dropout):
+    # A 200-row vocab of which most rows are never used; ids 190-199
+    # appear in one example only, which the shuffle puts in a late batch.
+    rng = np.random.default_rng(8)
+    cfg = ModelConfig(vocab_size=200, d_model=16, n_layers=2, n_heads=2, ffn_dim=24,
+                      n_segments=3, max_seq_len=12, dropout=dropout)
+    data = []
+    for i in range(40):
+        length = int(rng.integers(2, 13))
+        tokens = rng.integers(1, 30, size=length)
+        if i == 17:
+            tokens[1:] = 190 + np.arange(length - 1) % 10
+        data.append((_inp(tokens, rng.integers(0, 3, size=length), limit=12),
+                     int(rng.integers(0, 2))))
+    train_cfg = TrainConfig(learning_rate=3e-3, batch_size=6, epochs=3, seed=4,
+                            clip_norm=clip_norm)
+    first_batch = list(np.random.default_rng(4).permutation(40)).index(17) // 6
+    assert first_batch >= 3  # the premise: a late first use
+
+    model = Classifier(cfg, seed=1)
+    result = train(model, data, train_cfg)
+    reference = Classifier(cfg, seed=1)
+    history = _reference_dense_adam_train(reference, data, train_cfg)
+    assert result.history == history
+    for name, value in reference.params.items():
+        assert np.array_equal(model.params[name], value), name
+    assert not np.array_equal(model.params["tok_emb"][190],
+                              Classifier(cfg, seed=1).params["tok_emb"][190])
+    assert np.array_equal(model.params["tok_emb"][100:190],
+                          Classifier(cfg, seed=1).params["tok_emb"][100:190])
 
 
 # -- prediction ----------------------------------------------------------

@@ -158,6 +158,23 @@ def test_warm_fetch_returns_and_merges_the_same_labels_as_cold(mock, tmp_path):
     assert warm_store.stored_labels("P31") == []
 
 
+def test_cold_fetch_returns_the_labels_it_keeps(mock, tmp_path):
+    # The endpoint repeats itself: two primary labels and one alias twice.
+    mock.hop1["Q1"] = [triple_binding(_prop("P31"), entity_binding("Q99"))]
+    mock.labels[ENTITY_PREFIX + "Q1"] = [("label", "first"), ("label", "second"),
+                                         ("alias", "a"), ("alias", "a")]
+    cache = str(tmp_path)
+    _, labels_path = cache_files(cache)
+    cold = fetch_remote(mock.url, "Q1", cache_dir=cache)
+    cached_bytes = labels_path.read_bytes()
+    warm = fetch_remote(mock.url, "Q1", cache_dir=cache)
+    assert not cold.from_cache and warm.from_cache
+    assert [(r.kind, r.text) for r in cold.labels] == [("label", "first"), ("alias", "a")]
+    assert warm.labels == cold.labels
+    assert cached_bytes == b"Q1\tlabel\tfirst\nQ1\talias\ta\n"
+    assert labels_path.read_bytes() == cached_bytes
+
+
 # -- failure taxonomy ----------------------------------------------------
 
 
