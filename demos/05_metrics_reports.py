@@ -7,13 +7,13 @@ a threshold, and accuracy over mentions after the per-mention argmax.
 Flip analysis then explains a delta between two runs mention by mention.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
 from kgned.metrics import (ConfusionCounts, f1_score, flip_analysis,
                            flip_report_dict, format_report, inkb_accuracy,
-                           make_report, pair_confusion, prf, read_report,
-                           write_report)
+                           make_report, pair_confusion, prf, write_report)
 
 # Pair-level metrics straight from a confusion table.
 counts = ConfusionCounts(tp=8, fp=2, fn=4, tn=16)
@@ -59,5 +59,5 @@ print(format_report(report))
 with tempfile.TemporaryDirectory() as scratch:
     path = Path(scratch) / "report.json"
     write_report(str(path), report)
-    loaded = read_report(str(path))
+    loaded = json.loads(path.read_text(encoding="utf-8"))
     print(f"round trip through {path.name}: loaded == original is {loaded == report}")

@@ -7,10 +7,7 @@ deliberately mild (lowercase, collapse whitespace), so "NATIONAL
 Highway" and "national   highway" hit the same key.
 """
 
-import tempfile
-from pathlib import Path
-
-from kgned.candidates import build_index, load_index, lookup, save_index
+from kgned.candidates import build_index, lookup
 from kgned.kg import TripleStore
 
 store = TripleStore()
@@ -34,15 +31,3 @@ for surface in ("National Highway", "NATIONAL   highway", "Australia", "Oceania"
 for surface in ("national", "highway", "network"):
     found = lookup(index, surface, mode="contains")
     print(f"contains{surface!r:>24} -> {found.entities}")
-
-# The index serializes to a small versioned text file.
-with tempfile.TemporaryDirectory() as scratch:
-    path = Path(scratch) / "index.tsv"
-    save_index(index, str(path))
-    print(f"\nsaved index ({path.stat().st_size} bytes):")
-    for line in path.read_text(encoding="utf-8").splitlines():
-        print(f"  {line}")
-    reloaded = load_index(str(path))
-    same = lookup(reloaded, "National Highway").entities == \
-        lookup(index, "National Highway").entities
-    print(f"reloaded index agrees: {same}")

@@ -60,12 +60,6 @@ class AssembledInput:
     mask: np.ndarray
     length: int
 
-    def same_as(self, other: "AssembledInput") -> bool:
-        return (self.length == other.length
-                and np.array_equal(self.token_ids, other.token_ids)
-                and np.array_equal(self.segment_ids, other.segment_ids)
-                and np.array_equal(self.mask, other.mask))
-
 
 def encode_triples(vocab: Vocab, texts) -> tuple[np.ndarray, np.ndarray]:
     """Token ids of each text followed by one SEP, flattened into one int32

@@ -3,18 +3,14 @@
 The selection operation is realized as plain label matching: ``exact``
 returns entities whose normalized label or alias equals the normalized
 surface form, ``contains`` returns entities with any key containing it as
-a substring.  Datasets that ship precomputed candidate lists attach
-through :func:`load_candidates` instead.
+a substring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assembly import Mention
 from .kg import KIND_ALIAS, KIND_LABEL, TripleStore
-
-INDEX_HEADER = "kgned-label-index\t1"
 
 MODE_EXACT = "exact"
 MODE_CONTAINS = "contains"
@@ -46,16 +42,9 @@ class LabelIndex:
 
 @dataclass
 class CandidateSet:
-    """Ordered candidate entities for one surface form.
-
-    ``source`` is "index" for lookups against the label index and
-    "precomputed" for lists loaded from a dataset file.  ``mention`` is
-    None for ad-hoc surface lookups.
-    """
+    """Ordered candidate entities for one surface form."""
 
     entities: tuple[str, ...]
-    source: str
-    mention: Mention | None = None
 
     def __len__(self) -> int:
         return len(self.entities)
@@ -79,7 +68,7 @@ def lookup(index: LabelIndex, surface: str, mode: str = MODE_EXACT) -> Candidate
         raise ValueError(f"mode must be 'exact' or 'contains', got {mode!r}")
     needle = normalize_label(surface)
     if not needle:
-        return CandidateSet(entities=(), source="index")
+        return CandidateSet(entities=())
     if mode == MODE_EXACT:
         found = index.entities_for(needle)
     else:
@@ -87,49 +76,5 @@ def lookup(index: LabelIndex, surface: str, mode: str = MODE_EXACT) -> Candidate
         for key in index.keys():
             if needle in key:
                 found |= index.entities_for(key)
-    return CandidateSet(entities=tuple(sorted(found)), source="index")
+    return CandidateSet(entities=tuple(sorted(found)))
 
-
-def save_index(index: LabelIndex, path: str) -> None:
-    """Versioned text serialization; identical stores give identical bytes."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(INDEX_HEADER + "\n")
-        for key in sorted(index.keys()):
-            entities = ",".join(sorted(index.entities_for(key)))
-            fh.write(f"{key}\t{entities}\n")
-
-
-def load_index(path: str) -> LabelIndex:
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != INDEX_HEADER:
-            raise ValueError(f"{path}: not a label index file (header {header!r})")
-        index = LabelIndex()
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, _, entities = line.partition("\t")
-            for entity in entities.split(","):
-                if entity:
-                    index.add(key, entity)
-    return index
-
-
-def load_candidates(path: str):
-    """Per-mention precomputed candidate sets from a dataset JSONL file.
-
-    Returns a dict keyed by example id; candidate order is file order with
-    duplicates dropped keeping the first occurrence.
-    """
-    from .data import load_jsonl  # dataset schema lives with the loaders
-
-    out: dict[str, CandidateSet] = {}
-    for example in load_jsonl(path):
-        seen = []
-        for entity in example.candidates:
-            if entity not in seen:
-                seen.append(entity)
-        out[example.id] = CandidateSet(entities=tuple(seen), source="precomputed",
-                                       mention=example.to_mention())
-    return out

@@ -107,6 +107,19 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+def _coerce(key: str, value, error):
+    """``value`` converted to ``key``'s type; a value that does not convert
+    raises ``error(message)``."""
+    try:
+        return _COERCE[key](value)
+    except (TypeError, ValueError) as exc:
+        raise error(f"bad value {value!r} for {key!r} ({exc})") from exc
+
+
+def _file_error(path: str):
+    return lambda message: DatasetError(path, 0, message)
+
+
 def resolve_config(args: argparse.Namespace, environ=None) -> dict:
     """Merge flag / env / file / default values for every semantic key."""
     environ = os.environ if environ is None else environ
@@ -116,16 +129,16 @@ def resolve_config(args: argparse.Namespace, environ=None) -> dict:
             raise UsageError(f"unknown config key {key!r} in {args.config}")
     resolved = {}
     for key, default in DEFAULTS.items():
-        coerce = _COERCE[key]
         value = default
         if key in file_cfg:
-            value = coerce(file_cfg[key])
+            value = _coerce(key, file_cfg[key], _file_error(args.config))
         env_key = ENV_PREFIX + key.upper()
         if env_key in environ:
-            value = coerce(environ[env_key])
+            value = _coerce(key, environ[env_key],
+                            lambda message: UsageError(f"{env_key}: {message}"))
         flag = getattr(args, key, None)
         if flag is not None:
-            value = coerce(flag)
+            value = _coerce(key, flag, UsageError)
         resolved[key] = value
     if resolved["hops"] not in ("1", "12"):
         raise UsageError(f"hops must be 1 or 12, got {resolved['hops']!r}")
@@ -214,7 +227,7 @@ def cmd_train(args, config) -> int:
         for key in overrides:
             if key not in ("d_model", "n_layers", "n_heads", "ffn_dim", "dropout"):
                 raise DatasetError(args.model_cfg, 0, f"unknown model key {key!r}")
-            config[key] = _COERCE[key](overrides[key])
+            config[key] = _coerce(key, overrides[key], _file_error(args.model_cfg))
 
     vocab = _ensure_vocab(args.vocab, lambda: vocab_lines(examples, store))
     pairs = to_pairs(examples)
@@ -401,7 +414,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--out", required=True, help="checkpoint path (.npz)")
+    p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", help="loss history JSON (default: <out>.history.json)")
     p.set_defaults(handler=cmd_train)
 

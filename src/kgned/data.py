@@ -8,9 +8,9 @@ Canonical example format is JSONL, one object per line::
 
 ``negatives`` and ``id`` are optional; ids default to ``m<line-index>``.
 ``gold`` may be null for out-of-KB mentions.  The gold entity is not
-required to appear in ``candidates``; when it does not, the example is
-flagged as gold-missing and can never be ranked correctly, which the
-accuracy accounting keeps visible rather than patching.
+required to appear in ``candidates``; when it does not, the example can
+never be ranked correctly, which the accuracy accounting keeps visible
+rather than patching.
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ class MentionExample:
 
     def to_mention(self) -> Mention:
         return Mention.make(self.sentence, self.start, self.end)
-
-    @property
-    def gold_missing(self) -> bool:
-        """Gold entity known but absent from the candidate list."""
-        return self.gold is not None and self.gold not in self.candidates
 
     def to_json(self) -> dict:
         return {

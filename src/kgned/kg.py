@@ -196,9 +196,6 @@ class TripleStore:
     def primary_label(self, subject: str) -> str:
         return self.labels(subject)[0].text
 
-    def heads(self) -> list[tuple[str, int]]:
-        return list(self._groups.keys())
-
     def all_triples(self) -> Iterator[Triple]:
         for head, hop in self._groups:
             yield from self._group_triples(head, hop)

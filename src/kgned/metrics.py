@@ -202,14 +202,3 @@ def write_report(path: str, report: dict) -> None:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def read_report(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ReportError(f"{path}: not valid JSON ({exc.msg})") from exc
-    fmt = report.get("format")
-    if fmt != f"{REPORT_FORMAT}/{REPORT_VERSION}":
-        raise ReportError(f"{path}: unsupported report format {fmt!r}")
-    return report

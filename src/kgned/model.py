@@ -39,7 +39,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .assembly import AssembledInput, Mention
-from .candidates import CandidateSet
 from .context import ContextConfig
 from .tokenizer import Vocab
 
@@ -238,9 +237,6 @@ class Classifier:
             })
         self.params = params
 
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def check_finite(self) -> bool:
         return all(np.isfinite(p).all() for p in self.params.values())
 
@@ -410,13 +406,8 @@ class Classifier:
 
     # -- public inference ------------------------------------------------
 
-    def forward(self, inp: AssembledInput) -> float:
-        """Match probability for one assembled input, strictly inside (0, 1)."""
-        probs = self.forward_batch(inp.token_ids[None, :], inp.segment_ids[None, :],
-                                   inp.mask[None, :])
-        return float(probs[0])
-
     def forward_batch(self, tok, seg, mask) -> np.ndarray:
+        """Match probability of each row, strictly inside (0, 1)."""
         logits, _ = self._forward(np.asarray(tok), np.asarray(seg), np.asarray(mask))
         return np.clip(sigmoid(logits), _PROB_EPS, 1.0 - _PROB_EPS)
 
@@ -615,18 +606,11 @@ class Prediction:
     chosen: str | None
     scores: dict[str, float]
 
-    @property
-    def no_candidates(self) -> bool:
-        return self.chosen is None and not self.scores
-
 
 def predict(model: Classifier, mention: Mention, candidates, pipeline) -> Prediction:
     """Score each candidate with its own assembled input and pick the
     highest probability; exact ties break toward the smaller entity id."""
-    if isinstance(candidates, CandidateSet):
-        entity_ids = list(candidates.entities)
-    else:
-        entity_ids = list(candidates)
+    entity_ids = list(candidates)
     if not entity_ids:
         return Prediction(chosen=None, scores={})
     probs = score(model, [pipeline.encode_pair(mention, e) for e in entity_ids])
@@ -641,7 +625,8 @@ def predict(model: Classifier, mention: Mention, candidates, pipeline) -> Predic
 def save_checkpoint(path: str, model: Classifier, vocab: Vocab | None = None,
                     ctx: ContextConfig | None = None) -> None:
     """Versioned npz checkpoint embedding the model config, parameters,
-    and optionally the vocab and context configuration used to train."""
+    and optionally the vocab and context configuration used to train.
+    Written to ``path`` as given, whatever its suffix."""
     arrays = {
         "format": np.array(f"{CHECKPOINT_FORMAT}/{CHECKPOINT_VERSION}"),
         "model_config": np.array(json.dumps(asdict(model.config))),
@@ -656,7 +641,9 @@ def save_checkpoint(path: str, model: Classifier, vocab: Vocab | None = None,
         arrays["ctx_config"] = np.array(json.dumps(asdict(ctx)))
     for name, value in model.params.items():
         arrays["param/" + name] = value
-    np.savez(path, **arrays)
+    # A file object, not a name: np.savez appends ".npz" to any other name.
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 @dataclass
@@ -666,7 +653,7 @@ class CheckpointBundle:
     ctx: ContextConfig | None
 
 
-def load_checkpoint(path: str, expected_vocab_size: int | None = None) -> CheckpointBundle:
+def load_checkpoint(path: str) -> CheckpointBundle:
     try:
         with np.load(path, allow_pickle=False) as data:
             files = dict(data)
@@ -678,10 +665,6 @@ def load_checkpoint(path: str, expected_vocab_size: int | None = None) -> Checkp
             f"{path}: unsupported checkpoint format {fmt!r}, "
             f"expected {CHECKPOINT_FORMAT}/{CHECKPOINT_VERSION}")
     config = _load_config(path, files, "model_config", ModelConfig)
-    if expected_vocab_size is not None and config.vocab_size != expected_vocab_size:
-        raise CheckpointError(
-            f"{path}: checkpoint vocab size {config.vocab_size} does not match "
-            f"expected {expected_vocab_size}; refusing to load")
     model = Classifier(config, seed=0)
     for name in model.params:
         key = "param/" + name

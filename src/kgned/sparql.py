@@ -89,13 +89,12 @@ def local_id(uri: str) -> str:
 
 
 def run_query(endpoint: str, query: str, timeout: float = 30.0,
-              session=None, retries: int = 0) -> list[dict]:
+              retries: int = 0) -> list[dict]:
     """POST one query, return the result bindings list."""
-    http = session if session is not None else requests
     attempt = 0
     while True:
         try:
-            response = http.post(
+            response = requests.post(
                 endpoint,
                 data={"query": query},
                 headers={"Accept": "application/sparql-results+json"},
@@ -195,8 +194,7 @@ def _merge(store: TripleStore, entity: str, hops: str,
 
 def fetch_remote(endpoint: str, entity: str, hops: str = HOP_ONE, cap: int = 50,
                  cache_dir=None, store: TripleStore | None = None,
-                 timeout: float = 30.0, session=None, retries: int = 0,
-                 force: bool = False) -> FetchResult:
+                 timeout: float = 30.0, retries: int = 0) -> FetchResult:
     """Fetch one entity's neighborhood and labels.
 
     With a ``cache_dir`` the results are merged into the cache TSVs under
@@ -210,7 +208,7 @@ def fetch_remote(endpoint: str, entity: str, hops: str = HOP_ONE, cap: int = 50,
         raise ValueError(f"cap must be >= 1, got {cap}")
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        if not force and (entity, hops) in fetched(cache_dir):
+        if (entity, hops) in fetched(cache_dir):
             cached = _load_cache(cache_dir)
             triples = cached.neighbors(entity, hops)
             labels = _stored_labels(cached, entity, triples)
@@ -228,8 +226,7 @@ def fetch_remote(endpoint: str, entity: str, hops: str = HOP_ONE, cap: int = 50,
     for hop, template in hop_queries:
         query = template.format(uri=uri, limit=max(cap * 4, cap))
         kept = 0
-        for binding in run_query(endpoint, query, timeout=timeout,
-                                 session=session, retries=retries):
+        for binding in run_query(endpoint, query, timeout=timeout, retries=retries):
             if kept >= cap:
                 break
             relation_term = _term(binding, "relation")
@@ -245,8 +242,7 @@ def fetch_remote(endpoint: str, entity: str, hops: str = HOP_ONE, cap: int = 50,
             if tail_uri:
                 label_uris.setdefault(tail, tail_uri)
 
-    labels = _fetch_labels(endpoint, label_uris, timeout=timeout,
-                           session=session, retries=retries)
+    labels = _fetch_labels(endpoint, label_uris, timeout=timeout, retries=retries)
 
     scratch = TripleStore()
     _merge(scratch, entity, hops, rows, labels)
@@ -288,7 +284,7 @@ _KIND_MAP = {"label": KIND_LABEL, "alias": KIND_ALIAS, "description": KIND_DESCR
 _LABEL_CHUNK = 50
 
 
-def _fetch_labels(endpoint: str, label_uris: dict[str, str], timeout, session,
+def _fetch_labels(endpoint: str, label_uris: dict[str, str], timeout,
                   retries) -> list[LabelRecord]:
     records: list[LabelRecord] = []
     uris = list(label_uris.values())
@@ -296,8 +292,7 @@ def _fetch_labels(endpoint: str, label_uris: dict[str, str], timeout, session,
         chunk = uris[start:start + _LABEL_CHUNK]
         values = " ".join(f"<{u}>" for u in chunk)
         query = QUERY_LABELS.format(values=values)
-        for binding in run_query(endpoint, query, timeout=timeout,
-                                 session=session, retries=retries):
+        for binding in run_query(endpoint, query, timeout=timeout, retries=retries):
             subject_term = _term(binding, "subject")
             kind_term = _term(binding, "kind")
             text_term = _term(binding, "text")
@@ -312,9 +307,8 @@ def _fetch_labels(endpoint: str, label_uris: dict[str, str], timeout, session,
 
 
 def fetch_many(endpoint: str, entities: list[str], hops: str = HOP_ONE,
-               cap: int = 50, cache_dir=None, timeout: float = 30.0,
-               session=None, retries: int = 0, max_workers: int = 4,
-               force: bool = False) -> dict[str, FetchResult | Exception]:
+               cap: int = 50, cache_dir=None, timeout: float = 30.0, retries: int = 0,
+               max_workers: int = 4) -> dict[str, FetchResult | Exception]:
     """Fetch several entities with bounded parallelism.
 
     Returns per-entity results; failures are captured as exception values
@@ -328,8 +322,7 @@ def fetch_many(endpoint: str, entities: list[str], hops: str = HOP_ONE,
     def worker(entity: str):
         try:
             return fetch_remote(endpoint, entity, hops=hops, cap=cap,
-                                cache_dir=cache_dir, timeout=timeout,
-                                session=session, retries=retries, force=force)
+                                cache_dir=cache_dir, timeout=timeout, retries=retries)
         except Exception as exc:  # noqa: BLE001 - reported per entity
             return exc
 

@@ -54,35 +54,22 @@ class Vocab:
         """Non-reserved tokens in id order."""
         return list(self._tokens)
 
-    def id_of(self, token: str) -> int:
-        return self._ids.get(token, UNK_ID)
-
     def encode_tokens(self, tokens: Iterable[str]) -> list[int]:
+        """Ids of ``tokens``; out-of-vocabulary tokens map to UNK."""
         return [self._ids.get(t, UNK_ID) for t in tokens]
-
-    def encode(self, text: str) -> list[int]:
-        """Token ids for ``text``; out-of-vocabulary tokens map to UNK."""
-        return self.encode_tokens(tokenize(text))
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocab) and self._tokens == other._tokens
 
 
-def build_vocab(corpus: Iterable[str], min_freq: int = 1) -> Vocab:
-    """Count tokens over ``corpus`` lines and keep those with frequency >=
-    ``min_freq``, ordered by (descending frequency, lexicographic) so that
-    identical token multisets always produce identical id assignments."""
-    if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+def build_vocab(corpus: Iterable[str]) -> Vocab:
+    """Every token of the ``corpus`` lines, ordered by (descending frequency,
+    lexicographic) so that identical token multisets always produce
+    identical id assignments."""
     counts: Counter[str] = Counter()
     for text in corpus:
         counts.update(tokenize(text))
-    kept = [t for t, n in counts.items() if n >= min_freq]
-    kept.sort(key=lambda t: (-counts[t], t))
-    return Vocab(kept)
+    return Vocab(sorted(counts, key=lambda t: (-counts[t], t)))
 
 
 def save_vocab(vocab: Vocab, path: str) -> None:

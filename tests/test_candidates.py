@@ -1,12 +1,8 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgned.candidates import (MODE_CONTAINS, MODE_EXACT, build_index, load_candidates,
-                              load_index, lookup, normalize_label, save_index)
-from kgned.data import DatasetError
+from kgned.candidates import MODE_CONTAINS, MODE_EXACT, build_index, lookup, normalize_label
 from kgned.kg import store_from_rows
 
 
@@ -49,7 +45,6 @@ def test_exact_lookup_on_four_way_share():
     # brute-force scan oracle, sorted ascending
     expected = tuple(sorted(e for e in entities))
     assert found.entities == expected
-    assert found.source == "index"
 
 
 def test_lookup_misses_and_empty_surface():
@@ -77,62 +72,6 @@ def test_bad_mode_rejected():
     index = build_index(store_from_rows([]))
     with pytest.raises(ValueError):
         lookup(index, "x", mode="fuzzy")
-
-
-def test_index_round_trip_and_byte_determinism(tmp_path):
-    rows = [("Q1", "label", "alpha"), ("Q2", "alias", "beta"),
-            ("Q1", "alias", "Beta"), ("Q3", "label", "gamma ray")]
-    p1, p2 = str(tmp_path / "a.idx"), str(tmp_path / "b.idx")
-    save_index(build_index(store_from_rows([], rows)), p1)
-    save_index(build_index(store_from_rows([], list(rows))), p2)
-    assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
-
-    loaded = load_index(p1)
-    original = build_index(store_from_rows([], rows))
-    assert sorted(loaded.keys()) == sorted(original.keys())
-    for key in original.keys():
-        assert loaded.entities_for(key) == original.entities_for(key)
-
-
-def test_load_index_rejects_foreign_file(tmp_path):
-    path = tmp_path / "not.idx"
-    path.write_text("something else\n")
-    with pytest.raises(ValueError, match="header"):
-        load_index(str(path))
-
-
-def _write_jsonl(path, objs):
-    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
-
-
-def test_load_candidates_dedups_keeping_first(tmp_path):
-    path = tmp_path / "data.jsonl"
-    _write_jsonl(path, [{
-        "id": "m1", "sentence": "the national highway here",
-        "surface": "national highway", "span": [4, 20], "gold": "Q2",
-        "candidates": ["Q2", "Q2", "Q1"],
-    }])
-    out = load_candidates(str(path))
-    assert out["m1"].entities == ("Q2", "Q1")
-    assert out["m1"].source == "precomputed"
-
-
-def test_load_candidates_missing_field_names_it(tmp_path):
-    path = tmp_path / "data.jsonl"
-    _write_jsonl(path, [{"id": "m1", "sentence": "x y", "surface": "x",
-                         "span": [0, 1], "gold": None}])
-    with pytest.raises(DatasetError, match="candidates"):
-        load_candidates(str(path))
-
-
-def test_load_candidates_three_line_fixture(tmp_path):
-    path = tmp_path / "data.jsonl"
-    _write_jsonl(path, [
-        {"id": f"m{i}", "sentence": "a b c", "surface": "a", "span": [0, 1],
-         "gold": None, "candidates": [f"Q{i}"]}
-        for i in range(3)
-    ])
-    assert len(load_candidates(str(path))) == 3
 
 
 _label_text = st.lists(st.from_regex(r"[a-z]{1,6}", fullmatch=True),

@@ -31,7 +31,6 @@ from kgned.cli import (
 )
 from kgned.context import ContextConfig
 from kgned.data import vocab_lines
-from kgned.metrics import read_report
 from kgned.model import Classifier, ModelConfig, TrainingAborted, save_checkpoint
 from kgned.synthetic import CorpusSpec, build_corpus, write_corpus
 from kgned.tokenizer import build_vocab
@@ -137,6 +136,24 @@ def test_resolve_config_validates_enums():
         resolve_config(args, environ={"KGNED_PROTOCOL": "ranked"})
     with pytest.raises(UsageError, match="match"):
         resolve_config(args, environ={"KGNED_MATCH": "fuzzy"})
+
+
+@pytest.mark.parametrize("text, key", [('{"epochs": [1]}', "epochs"),
+                                       ('{"lr": null}', "lr"),
+                                       ('{"epochs": "abc"}', "epochs")])
+def test_uncoercible_config_file_value_is_data_error(text, key, tmp_path, capsys):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(text, encoding="utf-8")
+    rc = main(["--config", str(cfg_file), "train", "--data", "d", "--out", "m"])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(cfg_file) in err and repr(key) in err
+
+
+def test_uncoercible_env_value_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("KGNED_EPOCHS", "abc")
+    assert main(["train", "--data", "d", "--out", "m"]) == EXIT_USAGE
+    assert "KGNED_EPOCHS" in capsys.readouterr().err
 
 
 # -- usage errors through main -------------------------------------------
@@ -286,6 +303,30 @@ def test_train_model_cfg_rejects_unknown_key(workspace, tmp_path, capsys):
     assert rc == EXIT_DATA
 
 
+def test_train_model_cfg_uncoercible_value_is_data_error(workspace, tmp_path, capsys):
+    bad = tmp_path / "model.cfg"
+    bad.write_text("d_model=abc\n", encoding="utf-8")
+    rc = main(["train", "--data", str(workspace["train"]),
+               "--kg", str(workspace["kg"]), "--out", str(tmp_path / "m.npz"),
+               "--model-cfg", str(bad), "--max-seq-len", "64"])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(bad) in err and "'d_model'" in err
+
+
+def test_train_writes_the_checkpoint_at_the_path_given(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "model.bin"
+    rc = main(["train", "--data", str(workspace["train"]),
+               "--kg", str(workspace["kg"]), "--out", str(ckpt),
+               "--max-seq-len", "64", "--epochs", "1", "--batch-size", "8"])
+    assert rc == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin",
+                                                          "model.bin.history.json"]
+    rc = main(["eval", "--data", str(workspace["eval"]), "--checkpoint", str(ckpt),
+               "--kg", str(workspace["kg"])])
+    assert rc == EXIT_OK
+
+
 # -- eval ----------------------------------------------------------------
 
 
@@ -304,8 +345,7 @@ def test_eval_pairs_zero_model_matches_hand_computation(workspace, tmp_path, cap
         row = json.loads(line)
         npos += 1
         nneg += len(row["negatives"])
-    report = read_report(str(report_path))
-    metrics = report["metrics"]
+    metrics = json.loads(report_path.read_text(encoding="utf-8"))["metrics"]
     assert metrics["tp"] == npos
     assert metrics["fp"] == nneg
     assert metrics["fn"] == 0 and metrics["tn"] == 0
@@ -334,7 +374,7 @@ def test_eval_argmax_single_candidate_data_is_perfect(workspace, tmp_path, capsy
                "--kg", str(workspace["kg"]), "--protocol", "argmax",
                "--report", str(report_path), "--predictions", str(predictions_path)])
     assert rc == EXIT_OK
-    metrics = read_report(str(report_path))["metrics"]
+    metrics = json.loads(report_path.read_text(encoding="utf-8"))["metrics"]
     assert metrics["inkb_accuracy"] == 1.0
     assert metrics["n_mentions"] == len(workspace["corpus"].eval)
 
@@ -436,7 +476,7 @@ def test_diff_engineered_flips(tmp_path, capsys):
     rc = main(["diff", "--before", str(before), "--after", str(after),
                "--gold", str(gold_path), "--report", str(report_path)])
     assert rc == EXIT_OK
-    metrics = read_report(str(report_path))["metrics"]
+    metrics = json.loads(report_path.read_text(encoding="utf-8"))["metrics"]
     assert metrics["wrong_to_right"] == ["m1", "m2"]
     assert metrics["right_to_wrong"] == ["m3"]
     assert metrics["net"] == 1

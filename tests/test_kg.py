@@ -153,7 +153,7 @@ def test_round_trip_preserves_triples_ranks_and_labels(triples, labels):
 @given(triples=_triple_rows)
 def test_hop_prefix_property_for_every_head(triples):
     store = store_from_rows(triples)
-    for head, _ in store.heads():
+    for head in {triple.head for triple in store.all_triples()}:
         one = store.neighbors(head, HOP_ONE)
         both = store.neighbors(head, HOP_ONE_TWO)
         assert both[:len(one)] == one

@@ -1,5 +1,6 @@
 """Pair-level confusion metrics, in-KB accuracy, flip analysis, reports."""
 
+import json
 import math
 
 import pytest
@@ -18,7 +19,6 @@ from kgned.metrics import (
     make_report,
     pair_confusion,
     prf,
-    read_report,
     write_report,
 )
 
@@ -235,21 +235,11 @@ def test_report_round_trip(tmp_path):
     path = str(tmp_path / "report.json")
     report = _sample_report()
     write_report(path, report)
-    assert read_report(path) == report
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == report
 
 
 def test_write_report_refuses_foreign_format(tmp_path):
     bad = {"format": "something-else/3", "metrics": {}}
     with pytest.raises(ReportError):
         write_report(str(tmp_path / "r.json"), bad)
-
-
-def test_read_report_rejects_bad_json_and_format(tmp_path):
-    garbled = tmp_path / "garbled.json"
-    garbled.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ReportError):
-        read_report(str(garbled))
-    foreign = tmp_path / "foreign.json"
-    foreign.write_text('{"format": "other/1"}', encoding="utf-8")
-    with pytest.raises(ReportError):
-        read_report(str(foreign))

@@ -120,11 +120,15 @@ def test_cache_files_round_trip_byte_identical(mock, tmp_path):
 
 
 def test_force_refetch_does_not_duplicate_rows(mock, tmp_path):
+    # Deleting the manifest forces a second fetch into the same cache.
     mock.seed_highway()
     cache = str(tmp_path)
     fetch_remote(mock.url, "Q1967298", cache_dir=cache)
-    fetch_remote(mock.url, "Q1967298", cache_dir=cache, force=True)
     triples_path, labels_path = cache_files(cache)
+    first = (triples_path.read_bytes(), labels_path.read_bytes())
+    (tmp_path / "fetched.tsv").unlink()
+    assert not fetch_remote(mock.url, "Q1967298", cache_dir=cache).from_cache
+    assert (triples_path.read_bytes(), labels_path.read_bytes()) == first
     store = load_store(str(triples_path), str(labels_path))
     assert len(store.neighbors("Q1967298")) == 3
     manifest = (tmp_path / "fetched.tsv").read_text(encoding="utf-8")

@@ -17,21 +17,10 @@ def test_reserved_ids_are_fixed():
     assert (PAD_ID, UNK_ID, CLS_ID, SEP_ID) == (0, 1, 2, 3)
 
 
-def test_build_vocab_min_freq():
-    vocab = build_vocab(["a a b"], min_freq=2)
-    assert vocab.size == N_RESERVED + 1
-    assert "a" in vocab and "b" not in vocab
-
-
 def test_build_vocab_case_folds():
     vocab = build_vocab(["A a"])
     assert vocab.size == N_RESERVED + 1
-    assert vocab.id_of("a") == N_RESERVED
-
-
-def test_build_vocab_rejects_min_freq_zero():
-    with pytest.raises(ValueError):
-        build_vocab(["a"], min_freq=0)
+    assert vocab.encode_tokens(["a"]) == [N_RESERVED]
 
 
 def test_identical_multisets_get_identical_ids():
@@ -41,8 +30,7 @@ def test_identical_multisets_get_identical_ids():
     b = build_vocab(["blue blue", "blue green", "green red"])
     assert a == b
     assert a.tokens == b.tokens
-    for token in a.tokens:
-        assert a.id_of(token) == b.id_of(token)
+    assert a.encode_tokens(a.tokens) == b.encode_tokens(a.tokens)
 
 
 def test_frequency_then_lexicographic_order():
@@ -53,14 +41,14 @@ def test_frequency_then_lexicographic_order():
 
 def test_encode_empty_and_oov():
     vocab = build_vocab(["known words here"])
-    assert vocab.encode("") == []
-    assert vocab.encode("totally unseen stuff") == [UNK_ID, UNK_ID, UNK_ID]
+    assert vocab.encode_tokens(tokenize("")) == []
+    assert vocab.encode_tokens(tokenize("totally unseen stuff")) == [UNK_ID, UNK_ID, UNK_ID]
 
 
 def test_encode_round_trips_token_count():
     vocab = build_vocab(["the quick brown fox jumps"])
     text = "the quick fox"
-    assert len(vocab.encode(text)) == len(tokenize(text))
+    assert len(vocab.encode_tokens(tokenize(text))) == len(tokenize(text))
 
 
 def test_vocab_rejects_reserved_and_duplicate_entries():
@@ -72,8 +60,7 @@ def test_vocab_rejects_reserved_and_duplicate_entries():
 
 def test_unknown_token_maps_to_unk():
     vocab = Vocab(["x"])
-    assert vocab.id_of("y") == UNK_ID
-    assert vocab.id_of("x") == N_RESERVED
+    assert vocab.encode_tokens(["y", "x"]) == [UNK_ID, N_RESERVED]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -88,7 +75,7 @@ def test_save_load_round_trip(tmp_path):
 @given(st.text(max_size=60))
 def test_encode_length_matches_tokenize(text):
     vocab = build_vocab(["some fixed words"])
-    assert len(vocab.encode(text)) == len(tokenize(text))
+    assert len(vocab.encode_tokens(tokenize(text))) == len(tokenize(text))
 
 
 @given(st.text(max_size=60))
