@@ -5,10 +5,11 @@ a local cache, ``train`` fits the classifier, ``eval`` scores a dataset
 under either protocol, ``diff`` compares two prediction files, and
 ``disambiguate`` resolves one mention interactively.
 
-Configuration precedence is flags > environment (``KGNED_`` prefix) >
-config file (JSON or ``key=value`` lines) > defaults.  The resolved
-semantic configuration (never file paths) is echoed into every report so
-that identical runs produce identical bytes.
+Each setting is one row of ``SETTINGS``.  Precedence is flags > environment
+(``KGNED_`` prefix) > config file (JSON or ``key=value`` lines) > defaults,
+and ``train --model-cfg`` overrides all of them for the model keys.  The
+resolved semantic configuration (never file paths) is echoed into every
+report so that identical runs produce identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime abort.
 """
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .assembly import Mention
@@ -26,14 +28,14 @@ from .candidates import MODE_CONTAINS, MODE_EXACT, build_index, lookup
 from .context import ContextConfig
 from .data import (DatasetError, EncodingPipeline, iter_json_objects, load_jsonl, to_pairs,
                    vocab_lines)
-from .kg import HOP_ONE, HOP_ONE_TWO, ParseError, TripleStore, load_store
-from .metrics import (ReportError, flip_analysis, flip_report_dict, format_report,
-                      inkb_accuracy, make_report, pair_confusion, prf, write_report)
+from .kg import HOP_ONE, HOP_ONE_TWO, TripleStore, load_store
+from .metrics import (flip_analysis, flip_report_dict, format_report, inkb_accuracy,
+                      make_report, pair_confusion, prf, write_report)
 from .model import (CheckpointError, Classifier, ModelConfig, TrainConfig,
                     TrainingAborted, load_checkpoint, predict, save_checkpoint, score,
                     train)
 from .sparql import EndpointError, FetchError, ProtocolError, fetch_many
-from .tokenizer import Vocab, build_vocab, load_vocab, save_vocab
+from .tokenizer import build_vocab, load_vocab, save_vocab
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,31 +46,45 @@ ENV_PREFIX = "KGNED_"
 
 HISTORY_FORMAT = "kgned-history/1"
 
-DEFAULTS = {
-    "hops": "1",
-    "max_triples": 15,
-    "max_seq_len": 512,
-    "seed": 0,
-    "lr": 1e-3,
-    "batch_size": 16,
-    "epochs": 10,
-    "clip_norm": 1.0,
-    "cap": 50,
-    "protocol": "pairs",
-    "match": MODE_EXACT,
-    "d_model": 64,
-    "n_layers": 2,
-    "n_heads": 2,
-    "ffn_dim": 128,
-    "dropout": 0.1,
-}
 
-_COERCE = {
-    "max_triples": int, "max_seq_len": int, "seed": int, "batch_size": int,
-    "epochs": int, "cap": int, "d_model": int, "n_layers": int, "n_heads": int,
-    "ffn_dim": int, "lr": float, "clip_norm": float, "dropout": float,
-    "hops": str, "protocol": str, "match": str,
-}
+@dataclass(frozen=True)
+class Setting:
+    """One configuration key.  Its values take the type of ``default``:
+    booleans, nulls, lists and objects are rejected, and so is a
+    non-integral number for an int key.  When ``choices`` is not empty the
+    value must be one of them."""
+
+    key: str
+    default: int | float | str
+    choices: tuple[str, ...] = ()
+    flags: dict[str, str] = field(default_factory=dict)  # command -> flag
+    echo: tuple[str, ...] = ()  # commands whose history or report echoes it
+    model: bool = False  # ``train --model-cfg`` may set it
+
+
+_CTX, _TRAIN, _MODEL = ContextConfig(), TrainConfig(), ModelConfig(vocab_size=1)
+_T, _TE = ("train",), ("train", "eval")  # the commands that echo a setting
+
+SETTINGS = {s.key: s for s in (
+    Setting("hops", "1", ("1", "12"), {"fetch": "--hops", "train": "--ctx-hops"}, _TE),
+    Setting("max_triples", _CTX.max_triples, flags={"train": "--max-triples"}, echo=_TE),
+    Setting("max_seq_len", _CTX.max_seq_len, flags={"train": "--max-seq-len"}, echo=_TE),
+    Setting("seed", _TRAIN.seed, flags={"train": "--seed", "eval": "--seed"}, echo=_TE),
+    Setting("lr", _TRAIN.learning_rate, flags={"train": "--lr"}, echo=_T),
+    Setting("batch_size", _TRAIN.batch_size, flags={"train": "--batch-size"}, echo=_T),
+    Setting("epochs", _TRAIN.epochs, flags={"train": "--epochs"}, echo=_T),
+    Setting("clip_norm", _TRAIN.clip_norm, echo=_T),
+    Setting("cap", 50, flags={"fetch": "--cap"}),
+    Setting("protocol", "pairs", ("pairs", "argmax"), {"eval": "--protocol"}, ("eval",)),
+    Setting("match", MODE_EXACT, (MODE_EXACT, MODE_CONTAINS), {"disambiguate": "--match"}),
+    Setting("d_model", _MODEL.d_model, echo=_T, model=True),
+    Setting("n_layers", _MODEL.n_layers, echo=_T, model=True),
+    Setting("n_heads", _MODEL.n_heads, echo=_T, model=True),
+    Setting("ffn_dim", _MODEL.ffn_dim, echo=_T, model=True),
+    Setting("dropout", _MODEL.dropout, echo=_T, model=True),
+)}
+
+DEFAULTS = {key: s.default for key, s in SETTINGS.items()}
 
 
 class UsageError(Exception):
@@ -88,13 +104,17 @@ def hops_value(flag: str) -> str:
 
 def load_config_file(path: str) -> dict:
     """JSON object, or ``key=value`` lines with # comments."""
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise DatasetError(path, 1, "config JSON must be an object")
-        return obj
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(path, data.count(b"\n", 0, exc.start) + 1,
+                           f"not UTF-8: {exc}") from exc
+    if text.lstrip().startswith("{"):
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(path, exc.lineno, f"invalid JSON: {exc}") from exc
     out = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -107,77 +127,85 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _coerce(key: str, value, error):
-    """``value`` converted to ``key``'s type; a value that does not convert
-    raises ``error(message)``."""
+def _coerce(setting: Setting, value, error):
+    """``value`` converted to ``setting``'s type and checked against its
+    choices; a value that does not fit raises ``error(message)``."""
+    kind = type(setting.default)
     try:
-        return _COERCE[key](value)
-    except (TypeError, ValueError) as exc:
-        raise error(f"bad value {value!r} for {key!r} ({exc})") from exc
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise TypeError("not a number or a string")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("not an integer")
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"bad value {value!r} for {setting.key!r} ({exc})") from exc
+    if setting.choices and converted not in setting.choices:
+        raise error(f"{setting.key!r} must be one of {setting.choices}, got {converted!r}")
+    return converted
 
 
-def _file_error(path: str):
-    return lambda message: DatasetError(path, 0, message)
+def _read_settings(path: str, keys, unknown) -> dict:
+    """The settings in config file ``path``, converted; a key outside
+    ``keys`` raises ``unknown(key)``."""
+    raw = load_config_file(path)
+    for key in raw:
+        if key not in keys:
+            raise unknown(key)
+    return {key: _coerce(SETTINGS[key], value, lambda message: DatasetError(path, 0, message))
+            for key, value in raw.items()}
 
 
 def resolve_config(args: argparse.Namespace, environ=None) -> dict:
-    """Merge flag / env / file / default values for every semantic key."""
+    """Merge flag / env / file / default values for every setting."""
     environ = os.environ if environ is None else environ
-    file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in file_cfg:
-        if key not in DEFAULTS:
-            raise UsageError(f"unknown config key {key!r} in {args.config}")
+    path = getattr(args, "config", None)
+    file_cfg = _read_settings(path, SETTINGS, lambda key: UsageError(
+        f"unknown config key {key!r} in {path}")) if path else {}
     resolved = {}
-    for key, default in DEFAULTS.items():
-        value = default
-        if key in file_cfg:
-            value = _coerce(key, file_cfg[key], _file_error(args.config))
+    for key, setting in SETTINGS.items():
+        value = file_cfg.get(key, setting.default)
         env_key = ENV_PREFIX + key.upper()
         if env_key in environ:
-            value = _coerce(key, environ[env_key],
+            value = _coerce(setting, environ[env_key],
                             lambda message: UsageError(f"{env_key}: {message}"))
-        flag = getattr(args, key, None)
-        if flag is not None:
-            value = _coerce(key, flag, UsageError)
+        if getattr(args, key, None) is not None:
+            value = _coerce(setting, getattr(args, key), UsageError)
         resolved[key] = value
-    if resolved["hops"] not in ("1", "12"):
-        raise UsageError(f"hops must be 1 or 12, got {resolved['hops']!r}")
-    if resolved["protocol"] not in ("pairs", "argmax"):
-        raise UsageError(f"protocol must be pairs or argmax, got {resolved['protocol']!r}")
-    if resolved["match"] not in (MODE_EXACT, MODE_CONTAINS):
-        raise UsageError(f"match must be exact or contains, got {resolved['match']!r}")
     return resolved
 
 
-def _config_echo(config: dict, keys: tuple[str, ...]) -> dict:
-    return {key: config[key] for key in keys}
+def _echo(config: dict, command: str) -> dict:
+    return {key: config[key] for key, s in SETTINGS.items() if command in s.echo}
 
 
-_TRAIN_KEYS = ("hops", "max_triples", "max_seq_len", "seed", "lr", "batch_size",
-               "epochs", "clip_norm", "d_model", "n_layers", "n_heads",
-               "ffn_dim", "dropout")
-_EVAL_KEYS = ("protocol", "hops", "max_triples", "max_seq_len", "seed")
+def _context(config: dict) -> ContextConfig:
+    return ContextConfig(hops=hops_value(config["hops"]), max_triples=config["max_triples"],
+                         max_seq_len=config["max_seq_len"])
 
 
-def _load_kg(kg_dir: str) -> TripleStore:
+def _load_kg(kg_dir: str | None, ctx: ContextConfig, need: bool = False) -> TripleStore | None:
+    """The KG at ``kg_dir`` when ``ctx`` uses triples or ``need`` is set."""
+    if not (need or ctx.max_triples > 0):
+        return None
+    if not kg_dir:
+        raise UsageError("--kg is required when the context uses triples (max-triples > 0)")
     root = Path(kg_dir)
-    triples = root / "triples.tsv"
-    labels = root / "labels.tsv"
+    triples, labels = root / "triples.tsv", root / "labels.tsv"
     if not triples.is_file() or not labels.is_file():
         raise DatasetError(str(root), 0,
                            "KG directory must contain triples.tsv and labels.tsv")
     return load_store(str(triples), str(labels))
 
 
-def _ensure_vocab(path: str | None, make_lines) -> Vocab:
-    """The vocab at ``path`` if that file exists; otherwise one built from
-    ``make_lines()``, called only then, and saved to ``path`` when given."""
-    if path and Path(path).is_file():
-        return load_vocab(path)
-    vocab = build_vocab(make_lines())
-    if path:
-        save_vocab(vocab, path)
-    return vocab
+def _load_scorer(args, config, need_kg: bool = False) -> tuple[Classifier, EncodingPipeline]:
+    """The checkpoint's model and a pipeline for its embedded vocab and
+    context config, or ``config``'s context when it has none."""
+    bundle = load_checkpoint(args.checkpoint)
+    if bundle.vocab is None:
+        raise CheckpointError(f"{args.checkpoint}: no embedded vocab")
+    ctx = bundle.ctx or _context(config)
+    store = _load_kg(args.kg, ctx, need_kg)
+    return bundle.model, EncodingPipeline(vocab=bundle.vocab, ctx=ctx, store=store)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -214,31 +242,27 @@ def cmd_fetch(args, config) -> int:
 
 def cmd_train(args, config) -> int:
     examples = load_jsonl(args.data)
-    ctx = ContextConfig(hops=hops_value(config["hops"]),
-                        max_triples=config["max_triples"],
-                        max_seq_len=config["max_seq_len"])
-    store = None
-    if ctx.max_triples > 0:
-        if not args.kg:
-            raise UsageError("--kg is required when max-triples > 0")
-        store = _load_kg(args.kg)
+    ctx = _context(config)
+    store = _load_kg(args.kg, ctx)
+    model_keys = [key for key, s in SETTINGS.items() if s.model]
     if args.model_cfg:
-        overrides = load_config_file(args.model_cfg)
-        for key in overrides:
-            if key not in ("d_model", "n_layers", "n_heads", "ffn_dim", "dropout"):
-                raise DatasetError(args.model_cfg, 0, f"unknown model key {key!r}")
-            config[key] = _coerce(key, overrides[key], _file_error(args.model_cfg))
+        config.update(_read_settings(args.model_cfg, model_keys, lambda key: DatasetError(
+            args.model_cfg, 0, f"unknown model key {key!r}")))
 
-    vocab = _ensure_vocab(args.vocab, lambda: vocab_lines(examples, store))
+    if args.vocab and Path(args.vocab).is_file():
+        vocab = load_vocab(args.vocab)
+    else:  # the KG's texts are read only when the vocab must be built
+        vocab = build_vocab(vocab_lines(examples, store))
+        if args.vocab:
+            save_vocab(vocab, args.vocab)
     pairs = to_pairs(examples)
     if not pairs:
         raise DatasetError(args.data, 0, "dataset produced no training pairs")
     batch = EncodingPipeline(vocab=vocab, ctx=ctx, store=store).encode_pairs(pairs)
 
-    model_cfg = ModelConfig(vocab_size=vocab.size, d_model=config["d_model"],
-                            n_layers=config["n_layers"], n_heads=config["n_heads"],
-                            ffn_dim=config["ffn_dim"], n_segments=ctx.n_segments,
-                            max_seq_len=ctx.max_seq_len, dropout=config["dropout"])
+    model_cfg = ModelConfig(vocab_size=vocab.size, n_segments=ctx.n_segments,
+                            max_seq_len=ctx.max_seq_len,
+                            **{key: config[key] for key in model_keys})
     model = Classifier(model_cfg, seed=config["seed"])
     train_cfg = TrainConfig(learning_rate=config["lr"], batch_size=config["batch_size"],
                             epochs=config["epochs"], seed=config["seed"],
@@ -250,7 +274,7 @@ def cmd_train(args, config) -> int:
     history = {
         "format": HISTORY_FORMAT,
         "seed": config["seed"],
-        "config": _config_echo(config, _TRAIN_KEYS),
+        "config": _echo(config, "train"),
         "history": result.history,
     }
     with open(history_path, "w", encoding="utf-8") as fh:
@@ -263,25 +287,9 @@ def cmd_train(args, config) -> int:
 
 
 def cmd_eval(args, config) -> int:
-    bundle = load_checkpoint(args.checkpoint)
-    model = bundle.model
-    if bundle.vocab is None:
-        raise CheckpointError(f"{args.checkpoint}: no embedded vocab; cannot evaluate")
-    ctx = bundle.ctx or ContextConfig(hops=hops_value(config["hops"]),
-                                      max_triples=config["max_triples"],
-                                      max_seq_len=config["max_seq_len"])
-    store = None
-    if ctx.max_triples > 0:
-        if not args.kg:
-            raise UsageError("--kg is required when the checkpoint uses context")
-        store = _load_kg(args.kg)
+    model, pipeline = _load_scorer(args, config)
     examples = load_jsonl(args.data)
-    pipeline = EncodingPipeline(vocab=bundle.vocab, ctx=ctx, store=store)
-
-    echo = _config_echo(config, _EVAL_KEYS)
-    echo["hops"] = ctx.hops
-    echo["max_triples"] = ctx.max_triples
-    echo["max_seq_len"] = ctx.max_seq_len
+    echo = {**_echo(config, "eval"), **asdict(pipeline.ctx)}
 
     if config["protocol"] == "pairs":
         pairs = to_pairs(examples)
@@ -305,12 +313,10 @@ def cmd_eval(args, config) -> int:
             if outcome.chosen is not None:
                 best_scores[example.id] = outcome.scores[outcome.chosen]
         gold = {example.id: example.gold for example in examples}
-        accuracy = inkb_accuracy(predictions, gold)
-        n_inkb = sum(1 for g in gold.values() if g is not None)
         metrics = {
-            "inkb_accuracy": accuracy,
+            "inkb_accuracy": inkb_accuracy(predictions, gold),
             "n_mentions": len(examples),
-            "n_inkb": n_inkb,
+            "n_inkb": sum(1 for g in gold.values() if g is not None),
         }
         if args.predictions:
             with open(args.predictions, "w", encoding="utf-8") as fh:
@@ -333,7 +339,11 @@ def _read_predictions(path: str) -> dict[str, str | None]:
     for line_no, obj in iter_json_objects(path):
         if "mention_id" not in obj or "predicted" not in obj:
             raise DatasetError(path, line_no, "need mention_id and predicted fields")
-        out[str(obj["mention_id"])] = obj["predicted"]
+        mention_id, predicted = obj["mention_id"], obj["predicted"]
+        if not isinstance(mention_id, str) or not isinstance(predicted, (str, type(None))):
+            raise DatasetError(path, line_no,
+                               "mention_id must be a string and predicted a string or null")
+        out[mention_id] = predicted
     return out
 
 
@@ -350,13 +360,7 @@ def cmd_diff(args, config) -> int:
 
 
 def cmd_disambiguate(args, config) -> int:
-    store = _load_kg(args.kg)
-    bundle = load_checkpoint(args.checkpoint)
-    if bundle.vocab is None:
-        raise CheckpointError(f"{args.checkpoint}: no embedded vocab")
-    ctx = bundle.ctx or ContextConfig(hops=hops_value(config["hops"]),
-                                      max_triples=config["max_triples"],
-                                      max_seq_len=config["max_seq_len"])
+    model, pipeline = _load_scorer(args, config, need_kg=True)
     sentence = args.sentence
     surface = args.surface
     start = sentence.find(surface)
@@ -369,13 +373,12 @@ def cmd_disambiguate(args, config) -> int:
         surface = sentence[start:start + len(surface)]
     mention = Mention.make(sentence, start, start + len(surface))
 
-    index = build_index(store)
-    candidates = lookup(index, surface, mode=config["match"])
+    store = pipeline.store
+    candidates = lookup(build_index(store), surface, mode=config["match"])
     if not candidates.entities:
         print("no candidates")
         return EXIT_OK
-    pipeline = EncodingPipeline(vocab=bundle.vocab, ctx=ctx, store=store)
-    outcome = predict(bundle.model, mention, list(candidates.entities), pipeline)
+    outcome = predict(model, mention, list(candidates.entities), pipeline)
     ranked = sorted(outcome.scores, key=lambda e: (-outcome.scores[e], e))
     for rank, entity in enumerate(ranked, start=1):
         label = store.primary_label(entity)
@@ -384,6 +387,13 @@ def cmd_disambiguate(args, config) -> int:
 
 
 # -- wiring --------------------------------------------------------------
+
+
+def _add_setting_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    for key, s in SETTINGS.items():
+        if command in s.flags:
+            kind = {"choices": list(s.choices)} if s.choices else {"type": type(s.default)}
+            parser.add_argument(s.flags[command], dest=key, **kind)
 
 
 def build_parser() -> _Parser:
@@ -395,8 +405,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fetch", help="fetch entity neighborhoods into a KG cache")
     p.add_argument("--endpoint", required=True)
     p.add_argument("--entities", required=True, help="file with one entity id per line")
-    p.add_argument("--hops", choices=["1", "12"])
-    p.add_argument("--cap", type=int)
+    _add_setting_flags(p, "fetch")
     p.add_argument("--out", required=True, help="cache directory")
     p.add_argument("--retries", type=int, default=2)
     p.add_argument("--max-workers", type=int, default=4)
@@ -406,14 +415,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="mention JSONL")
     p.add_argument("--kg", help="directory with triples.tsv and labels.tsv")
     p.add_argument("--vocab", help="vocab file; built and saved if absent")
-    p.add_argument("--ctx-hops", dest="hops", choices=["1", "12"])
-    p.add_argument("--max-triples", type=int, dest="max_triples")
-    p.add_argument("--max-seq-len", type=int, dest="max_seq_len")
     p.add_argument("--model-cfg", help="JSON or key=value model settings")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--epochs", type=int)
+    _add_setting_flags(p, "train")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", help="loss history JSON (default: <out>.history.json)")
     p.set_defaults(handler=cmd_train)
@@ -422,10 +425,9 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--kg", help="KG directory (needed when the model uses context)")
-    p.add_argument("--protocol", choices=["pairs", "argmax"])
+    _add_setting_flags(p, "eval")
     p.add_argument("--report", help="write report JSON here")
     p.add_argument("--predictions", help="write per-mention predictions JSONL (argmax)")
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("diff", help="flip analysis between two prediction files")
@@ -440,7 +442,7 @@ def build_parser() -> _Parser:
     p.add_argument("--surface", required=True)
     p.add_argument("--kg", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--match", choices=[MODE_EXACT, MODE_CONTAINS])
+    _add_setting_flags(p, "disambiguate")
     p.set_defaults(handler=cmd_disambiguate)
     return parser
 
@@ -459,11 +461,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except (DatasetError, ParseError, CheckpointError, ReportError,
-            FileNotFoundError, NotADirectoryError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, CheckpointError, FileNotFoundError, NotADirectoryError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingAborted, FetchError, EndpointError, ProtocolError, OSError) as exc:

@@ -6,16 +6,24 @@ all parameters zeroed, which scores every pair at exactly 0.5 and makes
 the expected precision/recall computable by hand from the data file.
 """
 
+import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import literal_binding, triple_binding, uri_binding
+from kgned import cli
 from kgned.cli import (
     DEFAULTS,
     EXIT_ABORT,
@@ -140,7 +148,13 @@ def test_resolve_config_validates_enums():
 
 @pytest.mark.parametrize("text, key", [('{"epochs": [1]}', "epochs"),
                                        ('{"lr": null}', "lr"),
-                                       ('{"epochs": "abc"}', "epochs")])
+                                       ('{"epochs": "abc"}', "epochs"),
+                                       ('{"epochs": 1.7}', "epochs"),
+                                       ('{"epochs": true}', "epochs"),
+                                       ('{"dropout": true}', "dropout"),
+                                       ('{"hops": null}', "hops"),
+                                       ('{"hops": 3}', "hops"),
+                                       ('{"epochs": 1e400}', "epochs")])
 def test_uncoercible_config_file_value_is_data_error(text, key, tmp_path, capsys):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(text, encoding="utf-8")
@@ -154,6 +168,179 @@ def test_uncoercible_env_value_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("KGNED_EPOCHS", "abc")
     assert main(["train", "--data", "d", "--out", "m"]) == EXIT_USAGE
     assert "KGNED_EPOCHS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, line", [(b'{\n  "epochs": \n}\n', 3),
+                                        (b"epochs=3\nlr=\xff\n", 2)])
+def test_unreadable_config_file_is_data_error_naming_the_line(data, line, tmp_path, capsys):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_bytes(data)
+    rc = main(["--config", str(cfg_file), "train", "--data", "d", "--out", "m"])
+    assert rc == EXIT_DATA
+    assert f"{cfg_file}:{line}:" in capsys.readouterr().err
+
+
+_CHOICES = {"hops": ("1", "12"), "protocol": ("pairs", "argmax"),
+            "match": ("exact", "contains")}
+_REJECT = object()
+
+
+def _expected(key, value):
+    """A config value as the typing rules convert it, or ``_REJECT``: the
+    key's default gives the type, JSON booleans, nulls, lists and objects
+    never convert, and an int key takes only integral numbers."""
+    kind = type(DEFAULTS[key])
+    if isinstance(value, (bool, list, dict)) or value is None:
+        return _REJECT
+    if kind is int and isinstance(value, float) and not (
+            np.isfinite(value) and value == round(value)):
+        return _REJECT
+    try:
+        converted = kind(value)
+    except (ValueError, OverflowError):
+        return _REJECT
+    return _REJECT if converted not in _CHOICES.get(key, (converted,)) else converted
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                max_size=6) | st.sampled_from(["1", "12", "pairs", "argmax", "exact",
+                                                "contains", "3", " 7 ", "1e-3", "2.0"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_TEXT, inner, max_size=2),
+    max_leaves=4)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config")
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(DEFAULTS)), value=_JSON_VALUES, from_env=st.booleans())
+@example(key="epochs", value=float("inf"), from_env=False)
+@example(key="epochs", value=1.7, from_env=False)
+@example(key="epochs", value=True, from_env=False)
+@example(key="dropout", value=True, from_env=False)
+@example(key="hops", value=None, from_env=False)
+@example(key="lr", value=10 ** 400, from_env=False)
+@example(key="hops", value=12, from_env=False)
+@example(key="epochs", value="3", from_env=False)
+@example(key="epochs", value=3.0, from_env=False)
+@example(key="hops", value="3", from_env=True)
+@example(key="epochs", value=1.7, from_env=True)
+def test_any_config_value_resolves_or_exits_cleanly(config_dir, key, value, from_env):
+    # Runs main in process with the train handler replaced by one that
+    # records the resolved config, so an escaped exception fails the test.
+    env_key = "KGNED_" + key.upper()
+    cfg_file = config_dir / "c.json"
+    if from_env:
+        text = value if isinstance(value, str) else json.dumps(value)
+        environ, argv, expected = {env_key: text}, [], _expected(key, text)
+    else:
+        cfg_file.write_text(json.dumps({key: value}), encoding="utf-8")
+        environ, argv, expected = {}, ["--config", str(cfg_file)], _expected(key, value)
+    seen = {}
+
+    def record(args, config):
+        seen.update(config)
+        return EXIT_OK
+
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, environ), mock.patch.object(cli, "cmd_train", record), \
+            contextlib.redirect_stderr(err):
+        rc = main([*argv, "train", "--data", "d", "--out", "m"])
+    if expected is _REJECT:
+        assert rc == (EXIT_USAGE if from_env else EXIT_DATA), err.getvalue()
+        assert (env_key if from_env else f"{cfg_file}:0:") in err.getvalue()
+        assert repr(key) in err.getvalue()
+    else:
+        assert rc == EXIT_OK, err.getvalue()
+        got = seen[key]
+        assert type(got) is type(DEFAULTS[key])
+        assert got == expected or (got != got and expected != expected)
+
+
+# Each command's flags as (dest, type, choices, required, default); the
+# settings' flags come from the table, the rest are written per command.
+CLI_SURFACE = {
+    None: {"--config": ("config", None, None, False, None)},
+    "fetch": {
+        "--endpoint": ("endpoint", None, None, True, None),
+        "--entities": ("entities", None, None, True, None),
+        "--hops": ("hops", None, ["1", "12"], False, None),
+        "--cap": ("cap", "int", None, False, None),
+        "--out": ("out", None, None, True, None),
+        "--retries": ("retries", "int", None, False, 2),
+        "--max-workers": ("max_workers", "int", None, False, 4),
+    },
+    "train": {
+        "--data": ("data", None, None, True, None),
+        "--kg": ("kg", None, None, False, None),
+        "--vocab": ("vocab", None, None, False, None),
+        "--ctx-hops": ("hops", None, ["1", "12"], False, None),
+        "--max-triples": ("max_triples", "int", None, False, None),
+        "--max-seq-len": ("max_seq_len", "int", None, False, None),
+        "--model-cfg": ("model_cfg", None, None, False, None),
+        "--seed": ("seed", "int", None, False, None),
+        "--lr": ("lr", "float", None, False, None),
+        "--batch-size": ("batch_size", "int", None, False, None),
+        "--epochs": ("epochs", "int", None, False, None),
+        "--out": ("out", None, None, True, None),
+        "--history": ("history", None, None, False, None),
+    },
+    "eval": {
+        "--data": ("data", None, None, True, None),
+        "--checkpoint": ("checkpoint", None, None, True, None),
+        "--kg": ("kg", None, None, False, None),
+        "--protocol": ("protocol", None, ["pairs", "argmax"], False, None),
+        "--report": ("report", None, None, False, None),
+        "--predictions": ("predictions", None, None, False, None),
+        "--seed": ("seed", "int", None, False, None),
+    },
+    "diff": {
+        "--before": ("before", None, None, True, None),
+        "--after": ("after", None, None, True, None),
+        "--gold": ("gold", None, None, True, None),
+        "--report": ("report", None, None, False, None),
+    },
+    "disambiguate": {
+        "--sentence": ("sentence", None, None, True, None),
+        "--surface": ("surface", None, None, True, None),
+        "--kg": ("kg", None, None, True, None),
+        "--checkpoint": ("checkpoint", None, None, True, None),
+        "--match": ("match", None, ["exact", "contains"], False, None),
+    },
+}
+
+
+def _surface(parser):
+    return {" ".join(a.option_strings):
+            (a.dest, a.type and a.type.__name__, a.choices, a.required, a.default)
+            for a in parser._actions
+            if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))}
+
+
+def test_cli_surface_and_resolved_defaults_are_pinned():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert {None: _surface(parser),
+            **{name: _surface(p) for name, p in commands.items()}} == CLI_SURFACE
+    resolved = resolve_config(_train_args(), environ={})
+    assert [(key, type(value).__name__, value) for key, value in resolved.items()] == [
+        ("hops", "str", "1"), ("max_triples", "int", 15), ("max_seq_len", "int", 512),
+        ("seed", "int", 0), ("lr", "float", 1e-3), ("batch_size", "int", 16),
+        ("epochs", "int", 10), ("clip_norm", "float", 1.0), ("cap", "int", 50),
+        ("protocol", "str", "pairs"), ("match", "str", "exact"), ("d_model", "int", 64),
+        ("n_layers", "int", 2), ("n_heads", "int", 2), ("ffn_dim", "int", 128),
+        ("dropout", "float", 0.1)]
+
+
+def test_readme_lists_every_config_key_in_table_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    keys = re.search(r"Keys:(.*?)\.\s", readme, re.S).group(1)
+    assert re.findall(r"`(\w+)`", keys) == list(DEFAULTS)
 
 
 # -- usage errors through main -------------------------------------------
@@ -312,6 +499,18 @@ def test_train_model_cfg_uncoercible_value_is_data_error(workspace, tmp_path, ca
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert str(bad) in err and "'d_model'" in err
+
+
+def test_train_model_cfg_overrides_env(workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KGNED_D_MODEL", "8")
+    model_cfg = tmp_path / "model.json"
+    model_cfg.write_text('{"d_model": 16}', encoding="utf-8")
+    rc = main(["train", "--data", str(workspace["train"]),
+               "--kg", str(workspace["kg"]), "--out", str(tmp_path / "m.npz"),
+               "--model-cfg", str(model_cfg), "--max-seq-len", "64", "--epochs", "1"])
+    assert rc == EXIT_OK
+    history = json.loads((tmp_path / "m.npz.history.json").read_text())
+    assert history["config"]["d_model"] == 16
 
 
 def test_train_writes_the_checkpoint_at_the_path_given(workspace, tmp_path, capsys):
@@ -491,6 +690,23 @@ def test_diff_invalid_predictions_file(tmp_path, capsys):
     rc = main(["diff", "--before", str(bad), "--after", str(bad),
                "--gold", str(gold_path)])
     assert rc == EXIT_DATA
+
+
+@pytest.mark.parametrize("fields", ['"mention_id": "m1", "predicted": [1]',
+                                    '"mention_id": "m1", "predicted": {"a": 1}',
+                                    '"mention_id": "m1", "predicted": 5',
+                                    '"mention_id": "m1", "predicted": true',
+                                    '"mention_id": 1, "predicted": "Q1"'])
+def test_diff_rejects_mistyped_prediction_fields(fields, tmp_path, capsys):
+    gold_path = tmp_path / "gold.jsonl"
+    _write_gold(gold_path, [("m1", "Q1")])
+    good = tmp_path / "good.jsonl"
+    _write_predictions(good, [("m1", "Q1")])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{" + fields + "}\n", encoding="utf-8")
+    rc = main(["diff", "--before", str(good), "--after", str(bad), "--gold", str(gold_path)])
+    assert rc == EXIT_DATA
+    assert f"{bad}:1:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "diff"])
